@@ -18,7 +18,6 @@
 
 #include "engine/wire_format.hh"
 #include "support/logging.hh"
-#include "telemetry/exposition.hh"
 #include "telemetry/telemetry.hh"
 
 namespace hotpath::cluster
@@ -159,7 +158,12 @@ Router::start()
     publishTopology();
     routerThread = std::thread([this] { routerLoop(); });
     if (adminListener.valid())
-        adminThread = std::thread([this] { adminLoop(); });
+        adminThread = std::thread([this] {
+            net::serveAdmin(adminListener, stopping, cfg.tickMs,
+                            [this](const std::string &path) {
+                                return adminResponse(path);
+                            });
+        });
     return true;
 }
 
@@ -1359,137 +1363,15 @@ Router::topologyJson() const
     return os.str();
 }
 
-std::string
-Router::adminResponse(const std::string &path, int &status) const
+net::AdminReply
+Router::adminResponse(const std::string &path) const
 {
-    if (path == "/healthz") {
-        if (draining.load(std::memory_order_relaxed)) {
-            status = 503;
-            return "draining\n";
-        }
-        status = 200;
-        return "ok\n";
-    }
-    if (path == "/metrics") {
-        status = 200;
-        std::ostringstream os;
-        if (telemetry::MetricRegistry *registry =
-                telemetry::attachedRegistry())
-            telemetry::writePrometheus(os, registry->snapshot());
-        else
-            os << "# telemetry registry not attached\n";
-        return os.str();
-    }
-    if (path == "/topology") {
-        status = 200;
-        return topologyJson();
-    }
-    if (path == "/stats") {
-        status = 200;
-        return statsJson();
-    }
-    status = 404;
-    return "not found\n";
-}
-
-void
-Router::serveAdminRequest(net::Fd &conn)
-{
-    using Clock = std::chrono::steady_clock;
-    // Bounded request read; one request at a time is the whole
-    // concurrency model (same discipline as the server's admin
-    // plane).
-    std::string request;
-    char buf[1024];
-    const auto readDeadline =
-        Clock::now() + std::chrono::milliseconds(250);
-    while (request.find('\n') == std::string::npos &&
-           request.size() < 4096 && Clock::now() < readDeadline) {
-        pollfd pfd{conn.get(), POLLIN, 0};
-        if (::poll(&pfd, 1, 50) <= 0)
-            continue;
-        const ssize_t got = ::read(conn.get(), buf, sizeof(buf));
-        if (got > 0) {
-            request.append(buf, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0)
-            break;
-        if (errno == EINTR || errno == EAGAIN ||
-            errno == EWOULDBLOCK)
-            continue;
-        return;
-    }
-
-    int status = 400;
-    std::string body = "bad request\n";
-    std::string path;
-    if (request.rfind("GET ", 0) == 0) {
-        const std::size_t end = request.find_first_of(" \r\n", 4);
-        if (end != std::string::npos && end > 4) {
-            path = request.substr(4, end - 4);
-            body = adminResponse(path, status);
-        }
-    }
-
-    const char *reason = status == 200  ? "OK"
-                         : status == 404 ? "Not Found"
-                         : status == 503 ? "Service Unavailable"
-                                         : "Bad Request";
-    const char *contentType =
-        path == "/stats" || path == "/topology"
-            ? "application/json"
-        : path == "/metrics"
-            ? "text/plain; version=0.0.4; charset=utf-8"
-            : "text/plain; charset=utf-8";
-    std::ostringstream os;
-    os << "HTTP/1.0 " << status << ' ' << reason << "\r\n"
-       << "Content-Type: " << contentType << "\r\n"
-       << "Content-Length: " << body.size() << "\r\n"
-       << "Connection: close\r\n\r\n"
-       << body;
-    const std::string response = os.str();
-
-    std::size_t off = 0;
-    const auto writeDeadline =
-        Clock::now() + std::chrono::milliseconds(500);
-    while (off < response.size() && Clock::now() < writeDeadline) {
-        const ssize_t wrote = ::send(
-            conn.get(), response.data() + off, response.size() - off,
-            MSG_NOSIGNAL);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 &&
-            (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            pollfd pfd{conn.get(), POLLOUT, 0};
-            ::poll(&pfd, 1, 50);
-            continue;
-        }
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-}
-
-void
-Router::adminLoop()
-{
-    // Keeps serving during drain() - /healthz flipping to 503 is the
-    // point - and exits on stop().
-    while (!stopping.load()) {
-        pollfd pfd{adminListener.get(), POLLIN, 0};
-        const int ready =
-            ::poll(&pfd, 1, static_cast<int>(cfg.tickMs));
-        if (ready <= 0)
-            continue;
-        net::Fd conn(::accept4(adminListener.get(), nullptr, nullptr,
-                          SOCK_NONBLOCK));
-        if (!conn.valid())
-            continue;
-        serveAdminRequest(conn);
-    }
+    if (path == "/topology")
+        return {200, net::kAdminJson, topologyJson()};
+    if (path == "/stats")
+        return {200, net::kAdminJson, statsJson()};
+    return net::standardAdminReply(
+        path, draining.load(std::memory_order_relaxed));
 }
 
 } // namespace hotpath::cluster

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "cluster/hash_ring.hh"
+#include "net/admin.hh"
 #include "net/client.hh"
 #include "net/socket.hh"
 
@@ -474,11 +475,8 @@ class Router
     void refreshDerived();
     /** Refresh the locked topology snapshot (router thread only). */
     void publishTopology();
-    void adminLoop();
-    void serveAdminRequest(net::Fd &conn);
-    /** Response body + status for an admin request path. */
-    std::string adminResponse(const std::string &path,
-                              int &status) const;
+    /** The admin plane's reply for one request path. */
+    net::AdminReply adminResponse(const std::string &path) const;
     /** The /stats document: flat JSON (scalars and flat numeric
      *  arrays only; engine_top scans it without a JSON parser). */
     std::string statsJson() const;

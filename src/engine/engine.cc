@@ -137,16 +137,14 @@ Engine::Engine(EngineConfig config)
     tmShardDepth.reserve(shard_count);
     tmShardBlocked.reserve(shard_count);
     for (std::size_t i = 0; i < shard_count; ++i) {
-        queues.push_back(std::make_unique<ShardQueue>());
+        // Serial mode never queues: a one-slot ring keeps the
+        // per-shard accounting uniform without allocating a full
+        // ring per shard.
+        queues.push_back(std::make_unique<ShardQueue>(
+            worker_count > 0 ? cfg.queueCapacityFrames : 1));
         if (cfg.overloadPolicy == OverloadPolicy::DropOldest)
             queues.back()->degradation =
                 std::make_unique<DegradationPolicy>(cfg.degradation);
-        else if (worker_count > 0)
-            // The scaling path: lock-free handoff (serial mode never
-            // queues, so it skips the allocation).
-            queues.back()->ring =
-                std::make_unique<support::MpscRing<QueuedFrame>>(
-                    cfg.queueCapacityFrames);
         const std::string prefix =
             "engine.shard." + std::to_string(i);
         tmShardFrames.push_back(
@@ -438,110 +436,89 @@ Engine::routeFrame(FrameBuf &frame, std::uint64_t tag, bool blocking,
         return SubmitStatus::Accepted;
     }
 
+    // Count the frame in flight first so drain() can never observe a
+    // pushed-but-uncounted frame, then one CAS to enqueue.
     ShardQueue &queue = *queues[shard_index];
-    if (queue.ring) {
-        // Lock-free handoff: count the frame in flight first so
-        // drain() can never observe a pushed-but-uncounted frame,
-        // then one CAS to enqueue.
-        pendingFrames.fetch_add(1, std::memory_order_relaxed);
-        QueuedFrame qf{std::move(frame), tag, span_ns};
-        if (!queue.ring->tryPush(qf)) {
-            if (!blocking) {
-                frame = std::move(qf.buf);
-                noteFrameDone(1); // undo the in-flight count
-                return SubmitStatus::Backpressure;
-            }
-            queue.backpressureWaits.fetch_add(
-                1, std::memory_order_relaxed);
-            if (tmBackpressure)
-                tmBackpressure->add(1);
-            if (tmShardBlocked[shard_index])
-                tmShardBlocked[shard_index]->add(1);
-            // Full: park until the worker frees a slot. The waiter
-            // count tells the worker to bother with the notify; the
-            // timeout makes a lost race self-heal (see kParkTimeout).
-            std::unique_lock<std::mutex> lock(queue.spaceMu);
-            queue.spaceWaiters.fetch_add(1,
-                                         std::memory_order_seq_cst);
-            while (!queue.ring->tryPush(qf))
-                queue.spaceAvailable.wait_for(lock, kParkTimeout);
-            queue.spaceWaiters.fetch_sub(1,
-                                         std::memory_order_seq_cst);
-        }
-        noteQueueDepth(queue, shard_index, queue.ring->size());
-        wakeWorker(*workerStates[queue.worker]);
-        return SubmitStatus::Accepted;
+    pendingFrames.fetch_add(1, std::memory_order_relaxed);
+    QueuedFrame qf{std::move(frame), tag, span_ns};
+    if (queue.ring.tryPush(qf)) {
+        if (queue.degradation)
+            queue.admitted.fetch_add(1, std::memory_order_relaxed);
+    } else if (!pushToFullQueue(queue, shard_index, qf, blocking)) {
+        frame = std::move(qf.buf);
+        noteFrameDone(1); // undo the in-flight count
+        return SubmitStatus::Backpressure;
     }
+    noteQueueDepth(queue, shard_index, queue.ring.size());
+    wakeWorker(*workerStates[queue.worker]);
+    return SubmitStatus::Accepted;
+}
 
-    // Locked deque backend (OverloadPolicy::DropOldest).
-    QueuedFrame shed_frame;
-    bool did_shed = false;
-    {
-        std::unique_lock<std::mutex> lock(queue.mu);
-        bool saturated =
-            queue.frames.size() >= cfg.queueCapacityFrames;
-        bool shed_oldest = false;
-        if (queue.degradation) {
-            // Dynamo's flush-on-spike heuristic, pointed at queue
-            // pressure: only *sustained* saturation flips the shard
-            // into load shedding; a transient burst still blocks.
-            const DegradationMode prev = queue.degradation->mode();
-            const DegradationMode mode =
-                queue.degradation->onEvent(saturated);
-            if (prev == DegradationMode::Normal &&
-                mode == DegradationMode::Degraded && tmOverloadSpikes)
-                tmOverloadSpikes->add(1);
-            shed_oldest =
-                saturated && mode == DegradationMode::Degraded;
-        }
+bool
+Engine::pushToFullQueue(ShardQueue &queue, std::size_t shard_index,
+                        QueuedFrame &qf, bool blocking)
+{
+    bool shed = false;
+    if (queue.degradation) {
+        std::lock_guard<std::mutex> lock(queue.spaceMu);
+        // Dynamo's flush-on-spike heuristic, pointed at queue
+        // pressure: one signal per submit - quiet for each push that
+        // found room since the last full ring, pressure for this one -
+        // so only *sustained* saturation flips the shard into load
+        // shedding; a transient burst still blocks.
+        DegradationPolicy &policy = *queue.degradation;
+        for (std::uint64_t quiet = queue.admitted.exchange(
+                 0, std::memory_order_relaxed);
+             quiet > 0; --quiet)
+            policy.onEvent(false);
+        const DegradationMode prev = policy.mode();
+        const DegradationMode mode = policy.onEvent(true);
+        if (prev == DegradationMode::Normal &&
+            mode == DegradationMode::Degraded && tmOverloadSpikes)
+            tmOverloadSpikes->add(1);
         // Control-plane override: the adaptive controller saw
         // sustained queue pressure across epochs and pre-armed
         // shedding - skip the spike detector's warm-up.
-        if (saturated && forcedShed.load(std::memory_order_relaxed))
-            shed_oldest = true;
-        if (shed_oldest) {
-            // Degraded: admit the fresh frame by shedding the oldest
-            // queued one (stale profile data is the cheapest loss).
-            shed_frame = std::move(queue.frames.front());
-            queue.frames.pop_front();
-            did_shed = true;
+        shed = mode == DegradationMode::Degraded ||
+               forcedShed.load(std::memory_order_relaxed);
+    }
+    if (shed) {
+        // Degraded: admit the fresh frame by shedding the oldest
+        // queued one (stale profile data is the cheapest loss). A
+        // racing producer may take the freed slot; shed again.
+        do {
+            QueuedFrame oldest;
+            if (!queue.ring.tryPop(oldest))
+                continue; // the worker emptied the ring meanwhile
             framesShed.fetch_add(1, std::memory_order_relaxed);
             if (tmShed)
                 tmShed->add(1);
+            // A shed frame never reaches a worker, so its completion
+            // fires here, or its submitter's in-flight count would
+            // never drain.
+            completeUnapplied(oldest.buf.data(), oldest.buf.size(),
+                              oldest.tag, nullptr);
             noteFrameDone(1);
-        } else if (saturated) {
-            if (!blocking)
-                return SubmitStatus::Backpressure;
-            queue.backpressureWaits.fetch_add(
-                1, std::memory_order_relaxed);
-            if (tmBackpressure)
-                tmBackpressure->add(1);
-            if (tmShardBlocked[shard_index])
-                tmShardBlocked[shard_index]->add(1);
-            queue.spaceAvailable.wait(lock, [&] {
-                return queue.frames.size() <
-                       cfg.queueCapacityFrames;
-            });
-        }
-        pendingFrames.fetch_add(1, std::memory_order_relaxed);
-        queue.frames.push_back({std::move(frame), tag, span_ns});
-        noteQueueDepth(queue, shard_index, queue.frames.size());
+        } while (!queue.ring.tryPush(qf));
+        return true;
     }
-    // A shed frame never reaches a worker, so its completion fires
-    // here (outside the queue lock) or its submitter's in-flight
-    // count would never drain.
-    if (did_shed)
-        completeUnapplied(shed_frame.buf.data(),
-                          shed_frame.buf.size(), shed_frame.tag,
-                          nullptr);
 
-    WorkerState &worker = *workerStates[queue.worker];
-    {
-        std::lock_guard<std::mutex> lock(worker.mu);
-        worker.wake = true;
-    }
-    worker.workAvailable.notify_one();
-    return SubmitStatus::Accepted;
+    if (!blocking)
+        return false;
+    queue.backpressureWaits.fetch_add(1, std::memory_order_relaxed);
+    if (tmBackpressure)
+        tmBackpressure->add(1);
+    if (tmShardBlocked[shard_index])
+        tmShardBlocked[shard_index]->add(1);
+    // Park until the worker frees a slot. The waiter count tells the
+    // worker to bother with the notify; the timeout makes a lost race
+    // self-heal (see kParkTimeout).
+    std::unique_lock<std::mutex> lock(queue.spaceMu);
+    queue.spaceWaiters.fetch_add(1, std::memory_order_seq_cst);
+    while (!queue.ring.tryPush(qf))
+        queue.spaceAvailable.wait_for(lock, kParkTimeout);
+    queue.spaceWaiters.fetch_sub(1, std::memory_order_seq_cst);
+    return true;
 }
 
 bool
@@ -889,55 +866,25 @@ Engine::workerLoop(std::size_t worker_index)
         for (const std::size_t shard_index : self.shards) {
             ShardQueue &queue = *queues[shard_index];
             batch.clear();
-            if (queue.ring) {
-                queue.ring->popBatch(batch, cfg.maxBatchFrames);
-                if (batch.empty())
-                    continue;
-                // Batch-notify: blocked producers register in
-                // spaceWaiters, so the common case (nobody blocked)
-                // costs one load here and no lock.
-                if (queue.spaceWaiters.load(
-                        std::memory_order_seq_cst) != 0) {
-                    {
-                        std::lock_guard<std::mutex> lock(
-                            queue.spaceMu);
-                    }
-                    queue.spaceAvailable.notify_all();
-                }
-                if (tmQueueDepth)
-                    tmQueueDepth->set(static_cast<std::int64_t>(
-                        std::min(queue.ring->size(),
-                                 cfg.queueCapacityFrames)));
-                if (tmShardDepth[shard_index])
-                    tmShardDepth[shard_index]->set(
-                        static_cast<std::int64_t>(
-                            std::min(queue.ring->size(),
-                                     cfg.queueCapacityFrames)));
-            } else {
+            queue.ring.popBatch(batch, cfg.maxBatchFrames);
+            if (batch.empty())
+                continue;
+            // Batch-notify: blocked producers register in
+            // spaceWaiters, so the common case (nobody blocked) costs
+            // one load here and no lock.
+            if (queue.spaceWaiters.load(std::memory_order_seq_cst) !=
+                0) {
                 {
-                    std::lock_guard<std::mutex> lock(queue.mu);
-                    const std::size_t n = std::min(
-                        queue.frames.size(), cfg.maxBatchFrames);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        batch.push_back(
-                            std::move(queue.frames.front()));
-                        queue.frames.pop_front();
-                    }
-                    if (n > 0) {
-                        if (tmQueueDepth)
-                            tmQueueDepth->set(
-                                static_cast<std::int64_t>(
-                                    queue.frames.size()));
-                        if (tmShardDepth[shard_index])
-                            tmShardDepth[shard_index]->set(
-                                static_cast<std::int64_t>(
-                                    queue.frames.size()));
-                    }
+                    std::lock_guard<std::mutex> lock(queue.spaceMu);
                 }
-                if (batch.empty())
-                    continue;
                 queue.spaceAvailable.notify_all();
             }
+            const auto depth = static_cast<std::int64_t>(
+                std::min(queue.ring.size(), cfg.queueCapacityFrames));
+            if (tmQueueDepth)
+                tmQueueDepth->set(depth);
+            if (tmShardDepth[shard_index])
+                tmShardDepth[shard_index]->set(depth);
             did_work = true;
 
             batchesPopped.fetch_add(1, std::memory_order_relaxed);
@@ -998,42 +945,27 @@ Engine::workerLoop(std::size_t worker_index)
         // rings - any producer that pushed after our sweep either
         // sees sleeping==true (and notifies) or published before the
         // fence (and the re-check finds the frame).
-        const bool lock_free =
-            !self.shards.empty() && queues[self.shards[0]]->ring;
-        if (lock_free) {
-            self.sleeping.store(true, std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_seq_cst);
-            bool found = false;
-            for (const std::size_t shard_index : self.shards) {
-                if (!queues[shard_index]->ring->empty()) {
-                    found = true;
-                    break;
-                }
+        self.sleeping.store(true, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        bool found = false;
+        for (const std::size_t shard_index : self.shards) {
+            if (!queues[shard_index]->ring.empty()) {
+                found = true;
+                break;
             }
-            if (found && !stopping.load(std::memory_order_acquire)) {
-                self.sleeping.store(false,
-                                    std::memory_order_relaxed);
-                continue;
-            }
+        }
+        if (found && !stopping.load(std::memory_order_acquire)) {
+            self.sleeping.store(false, std::memory_order_relaxed);
+            continue;
         }
 
         std::unique_lock<std::mutex> lock(self.mu);
         if (stopping.load(std::memory_order_acquire)) {
             self.sleeping.store(false, std::memory_order_relaxed);
             // Drain-before-stop means the queues are already empty
-            // by the time stopping is observed; double-check anyway.
-            bool all_empty = true;
-            for (const std::size_t shard_index : self.shards) {
-                ShardQueue &queue = *queues[shard_index];
-                if (queue.ring) {
-                    all_empty = all_empty && queue.ring->empty();
-                } else {
-                    std::lock_guard<std::mutex> qlock(queue.mu);
-                    all_empty =
-                        all_empty && queue.frames.empty();
-                }
-            }
-            if (all_empty)
+            // by the time stopping is observed; the re-check above
+            // confirms it.
+            if (!found)
                 return;
             continue;
         }
@@ -1042,20 +974,12 @@ Engine::workerLoop(std::size_t worker_index)
                               std::memory_order_relaxed);
         if (tmWorkerBusy[worker_index])
             tmWorkerBusy[worker_index]->add(before_wait - mark);
-        if (lock_free) {
-            // Timed park: the fence handshake above makes a missed
-            // notify nearly impossible; the timeout makes even that
-            // self-heal (see kParkTimeout).
-            self.workAvailable.wait_for(lock, kParkTimeout, [&] {
-                return self.wake ||
-                       stopping.load(std::memory_order_acquire);
-            });
-        } else {
-            self.workAvailable.wait(lock, [&] {
-                return self.wake ||
-                       stopping.load(std::memory_order_acquire);
-            });
-        }
+        // Timed park: the fence handshake above makes a missed notify
+        // nearly impossible; the timeout makes even that self-heal
+        // (see kParkTimeout).
+        self.workAvailable.wait_for(lock, kParkTimeout, [&] {
+            return self.wake || stopping.load(std::memory_order_acquire);
+        });
         self.wake = false;
         self.sleeping.store(false, std::memory_order_relaxed);
         mark = telemetry::monotonicNanos();
@@ -1235,31 +1159,19 @@ Engine::stats() const
     stats.queueDepth.reserve(queues.size());
     stats.queueBackpressureWaits.reserve(queues.size());
     for (const auto &queue : queues) {
-        if (queue->ring) {
-            // Lock-free backend: the accounting is all atomic.
-            stats.queueHighWater.push_back(
-                queue->highWater.load(std::memory_order_relaxed));
-            stats.queueDepth.push_back(
-                std::min(queue->ring->size(),
-                         cfg.queueCapacityFrames));
-            const std::uint64_t waits =
-                queue->backpressureWaits.load(
-                    std::memory_order_relaxed);
-            stats.queueBackpressureWaits.push_back(waits);
-            stats.backpressureWaits += waits;
-            continue;
-        }
-        std::lock_guard<std::mutex> lock(queue->mu);
         stats.queueHighWater.push_back(
             queue->highWater.load(std::memory_order_relaxed));
-        stats.queueDepth.push_back(queue->frames.size());
+        stats.queueDepth.push_back(
+            std::min(queue->ring.size(), cfg.queueCapacityFrames));
         const std::uint64_t waits =
             queue->backpressureWaits.load(std::memory_order_relaxed);
         stats.queueBackpressureWaits.push_back(waits);
         stats.backpressureWaits += waits;
-        if (queue->degradation)
+        if (queue->degradation) {
+            std::lock_guard<std::mutex> lock(queue->spaceMu);
             stats.fault.degradedEntries +=
                 queue->degradation->degradedEntries();
+        }
     }
     stats.workerBusyNs.reserve(workerStates.size());
     stats.workerIdleNs.reserve(workerStates.size());

@@ -5,7 +5,7 @@
  *
  * Data flow:
  *
- *   producers --submit(frame bytes)--> per-shard bounded MPSC rings
+ *   producers --submit(frame bytes)--> per-shard bounded rings
  *        --> worker threads: decode + CRC-check + Session::apply
  *
  * The ingest path only peeks the frame header (cheap varint reads) to
@@ -22,8 +22,8 @@
  * Scaling model (see docs/ARCHITECTURE.md "Threading and memory
  * model" for the full picture):
  *
- *  - Handoff is a bounded lock-free MPSC ring per shard
- *    (support/mpsc_ring.hh): producers enqueue with one CAS, no
+ *  - Handoff is a bounded lock-free ring per shard
+ *    (support/mpmc_ring.hh): producers enqueue with one CAS, no
  *    mutex, and only touch a condition variable on the full-queue
  *    slow path. Workers batch-pop and only notify sleepers
  *    (batch-notify, Dekker-style sleeping flag + seq_cst fences,
@@ -45,11 +45,9 @@
  * Backpressure: a full shard queue blocks submit() until the owning
  * worker drains room (counted in engine.backpressure.waits). This
  * bounds memory under overload instead of dropping or buffering
- * without limit. Under OverloadPolicy::DropOldest the shard keeps the
- * original mutex+deque queue instead of the lock-free ring: shedding
- * the *oldest* queued frame requires producers to pop, which only the
- * locked backend supports (resilience traffic is not the scaling
- * path).
+ * without limit. Under OverloadPolicy::DropOldest a producer facing a
+ * full ring of a degraded shard instead pops the *oldest* queued frame
+ * itself (the ring takes any number of consumers) and sheds it.
  *
  * With workerThreads == 0 the engine runs in serial fallback mode:
  * submit() decodes and applies the frame inline on the caller's
@@ -88,7 +86,7 @@
 #include "engine/session_table.hh"
 #include "engine/wire_format.hh"
 #include "support/fault_injector.hh"
-#include "support/mpsc_ring.hh"
+#include "support/mpmc_ring.hh"
 
 namespace hotpath
 {
@@ -111,11 +109,12 @@ enum class OverloadPolicy
     Block,
     /**
      * Normally block, but once the shard's DegradationPolicy judges
-     * the saturation a sustained overload spike, shed the *oldest*
-     * queued frame to admit the new one (freshest-data-wins), counted
-     * in engine.recovered.shed.frames. Selecting this policy keeps
-     * the shard queues on the locked mutex+deque backend (producers
-     * must be able to pop the oldest frame).
+     * the saturation a sustained overload spike (or the control plane
+     * forces shedding), shed the *oldest* queued frame to admit the
+     * new one (freshest-data-wins), counted in
+     * engine.recovered.shed.frames. The submitting producer pops the
+     * shed frame from the shard's ring and fires its completion
+     * (applied=false) on its own thread.
      */
     DropOldest,
 };
@@ -200,9 +199,8 @@ struct EngineConfig
      *  (submit processes frames inline). */
     std::size_t workerThreads = 4;
 
-    /** Per-shard queue bound in frames; producers block when full.
-     *  Under OverloadPolicy::Block (lock-free rings) the bound is
-     *  rounded up to a power of two. */
+    /** Per-shard queue bound in frames, rounded up to a power of
+     *  two (the ring's slot count); producers block when full. */
     std::size_t queueCapacityFrames = 256;
 
     /** Frames a worker drains from one shard per batch (also the
@@ -528,13 +526,13 @@ class Engine
     }
 
     /**
-     * Force overload shedding on (or back to automatic with false).
-     * Only meaningful under OverloadPolicy::DropOldest: while forced,
-     * a saturated shard sheds its oldest queued frame immediately
+     * Force overload shedding on (or back to automatic with false) -
+     * the adaptive controller's queue-pressure response. Only
+     * meaningful under OverloadPolicy::DropOldest: while forced, a
+     * saturated shard sheds its oldest queued frame immediately
      * instead of waiting for the spike detector to judge the
      * saturation sustained. Under OverloadPolicy::Block the flag is
-     * recorded but has no effect (the lock-free rings cannot shed) -
-     * the adaptive controller's queue-pressure response.
+     * recorded but sheds nothing: Block never drops a frame.
      */
     void setForcedShedding(bool on)
     {
@@ -674,31 +672,29 @@ class Engine
     };
 
     /**
-     * One shard's handoff queue. Exactly one backend is active per
-     * engine: the lock-free ring under OverloadPolicy::Block (the
-     * scaling path), the mutex+deque under DropOldest (producers
-     * must be able to shed the oldest frame, and the spike detector
-     * runs per submit under the lock). `spaceAvailable` pairs with
-     * `mu` in deque mode and with `spaceMu` in ring mode (the modes
-     * never coexist).
+     * One shard's handoff queue: a lock-free ring that the owning
+     * worker pops in batches and that, under DropOldest, a producer
+     * facing a full ring may pop to shed the oldest frame. `spaceMu`
+     * serves only the full-ring slow path: parked producers and the
+     * spike detector.
      */
     struct ShardQueue
     {
-        // Ring backend (OverloadPolicy::Block).
-        std::unique_ptr<support::MpscRing<QueuedFrame>> ring;
+        explicit ShardQueue(std::size_t capacity) : ring(capacity) {}
+
+        support::MpmcRing<QueuedFrame> ring;
         std::mutex spaceMu;
+        std::condition_variable spaceAvailable;
         /** Producers currently parked on a full ring; consumers only
          *  touch spaceMu when this is nonzero. */
         std::atomic<std::uint32_t> spaceWaiters{0};
-
-        // Deque backend (OverloadPolicy::DropOldest).
-        std::mutex mu;
-        std::deque<QueuedFrame> frames;
-        // Overload spike detector (consulted under mu).
+        /** Overload spike detector, DropOldest only (guarded by
+         *  spaceMu). */
         std::unique_ptr<DegradationPolicy> degradation;
+        /** Pushes that found room since the spike detector was last
+         *  fed (DropOldest only): its quiet signals. */
+        std::atomic<std::uint64_t> admitted{0};
 
-        // Shared accounting and ownership.
-        std::condition_variable spaceAvailable;
         std::atomic<std::size_t> highWater{0};
         std::atomic<std::uint64_t> backpressureWaits{0};
         std::size_t worker = 0; // owning worker index
@@ -757,6 +753,14 @@ class Engine
                              std::vector<std::uint8_t> &state_scratch,
                              std::unique_lock<std::mutex> &shard_lock);
 
+    /** Slow path of routeFrame() for a frame that found its shard's
+     *  ring full: shed the oldest frame to make room (DropOldest,
+     *  degraded or forced), else park until the worker frees a slot.
+     *  Returns false - with `qf` intact - only when `blocking` is
+     *  false and the frame would have to wait. */
+    bool pushToFullQueue(ShardQueue &queue, std::size_t shard_index,
+                         QueuedFrame &qf, bool blocking);
+
     /** Post-injection routing shared by submit(), submitShared(),
      *  trySubmit(), submitBuffer() and delayed redelivery: header
      *  peek, reject, enqueue or inline. On Backpressure (nonblocking
@@ -808,7 +812,7 @@ class Engine
 
     std::atomic<bool> stopping{false};
     /** Control-plane override: shed on saturation without waiting
-     *  for the spike detector (DropOldest backend only). */
+     *  for the spike detector (DropOldest only). */
     std::atomic<bool> forcedShed{false};
     std::atomic<bool> warnedReject{false};
     std::atomic<bool> warnedStall{false};

@@ -1,5 +1,6 @@
 #include "engine/wire_format.hh"
 
+#include <algorithm>
 #include <array>
 
 #include "sim/trace_log.hh"
@@ -107,8 +108,13 @@ appendFrame(std::vector<std::uint8_t> &out, FrameKind kind,
 {
     // Worst-case frame envelope: magic + kind + four 10-byte varints
     // + payload + CRC. One reservation up front instead of letting
-    // the vector regrow through the header/payload/CRC appends.
-    out.reserve(out.size() + 3 + 4 * 10 + payload.size() + kCrcBytes);
+    // the vector regrow through the header/payload/CRC appends; it
+    // at least doubles the capacity, so appending many frames to one
+    // buffer stays linear.
+    const std::size_t need =
+        out.size() + 3 + 4 * 10 + payload.size() + kCrcBytes;
+    if (need > out.capacity())
+        out.reserve(std::max(need, 2 * out.capacity()));
     out.push_back(kMagic0);
     out.push_back(kMagic1);
     const std::size_t crc_begin = out.size();

@@ -20,7 +20,6 @@
 
 #include "engine/wire_format.hh"
 #include "support/logging.hh"
-#include "telemetry/exposition.hh"
 #include "telemetry/percentiles.hh"
 #include "telemetry/telemetry.hh"
 
@@ -200,7 +199,12 @@ Server::start()
     }
     acceptor = std::thread([this] { acceptLoop(); });
     if (adminListener.valid())
-        adminThread = std::thread([this] { adminLoop(); });
+        adminThread = std::thread([this] {
+            serveAdmin(adminListener, stopping, cfg.tickMs,
+                       [this](const std::string &path) {
+                           return adminResponse(path);
+                       });
+        });
     return true;
 }
 
@@ -877,135 +881,13 @@ Server::statsJson() const
     return os.str();
 }
 
-std::string
-Server::adminResponse(const std::string &path, int &status) const
+AdminReply
+Server::adminResponse(const std::string &path) const
 {
-    if (path == "/healthz") {
-        if (draining.load(std::memory_order_relaxed)) {
-            status = 503;
-            return "draining\n";
-        }
-        status = 200;
-        return "ok\n";
-    }
-    if (path == "/metrics") {
-        status = 200;
-        std::ostringstream os;
-        if (telemetry::MetricRegistry *registry =
-                telemetry::attachedRegistry())
-            telemetry::writePrometheus(os, registry->snapshot());
-        else
-            os << "# telemetry registry not attached\n";
-        return os.str();
-    }
-    if (path == "/stats") {
-        status = 200;
-        return statsJson();
-    }
-    status = 404;
-    return "not found\n";
-}
-
-void
-Server::serveAdminRequest(Fd &conn)
-{
-    using Clock = std::chrono::steady_clock;
-    // Bounded request read: admin clients are local tools, but a
-    // slow, oversized or malformed request must not wedge the admin
-    // thread (one request at a time is the whole concurrency model).
-    std::string request;
-    char buf[1024];
-    const auto readDeadline =
-        Clock::now() + std::chrono::milliseconds(250);
-    while (request.find('\n') == std::string::npos &&
-           request.size() < 4096 && Clock::now() < readDeadline) {
-        pollfd pfd{conn.get(), POLLIN, 0};
-        if (::poll(&pfd, 1, 50) <= 0)
-            continue;
-        const ssize_t got = ::read(conn.get(), buf, sizeof(buf));
-        if (got > 0) {
-            request.append(buf, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0)
-            break;
-        if (errno == EINTR || errno == EAGAIN ||
-            errno == EWOULDBLOCK)
-            continue;
-        return;
-    }
-
-    int status = 400;
-    std::string body = "bad request\n";
-    std::string path;
-    if (request.rfind("GET ", 0) == 0) {
-        const std::size_t end = request.find_first_of(" \r\n", 4);
-        if (end != std::string::npos && end > 4) {
-            path = request.substr(4, end - 4);
-            body = adminResponse(path, status);
-        }
-    }
-
-    const char *reason = status == 200  ? "OK"
-                         : status == 404 ? "Not Found"
-                         : status == 503 ? "Service Unavailable"
-                                         : "Bad Request";
-    const char *contentType =
-        path == "/stats" ? "application/json"
-        : path == "/metrics"
-            ? "text/plain; version=0.0.4; charset=utf-8"
-            : "text/plain; charset=utf-8";
-    std::ostringstream os;
-    os << "HTTP/1.0 " << status << ' ' << reason << "\r\n"
-       << "Content-Type: " << contentType << "\r\n"
-       << "Content-Length: " << body.size() << "\r\n"
-       << "Connection: close\r\n\r\n"
-       << body;
-    const std::string response = os.str();
-
-    std::size_t off = 0;
-    const auto writeDeadline =
-        Clock::now() + std::chrono::milliseconds(500);
-    while (off < response.size() && Clock::now() < writeDeadline) {
-        const ssize_t wrote = ::send(
-            conn.get(), response.data() + off, response.size() - off,
-            MSG_NOSIGNAL);
-        if (wrote > 0) {
-            off += static_cast<std::size_t>(wrote);
-            continue;
-        }
-        if (wrote < 0 &&
-            (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            pollfd pfd{conn.get(), POLLOUT, 0};
-            ::poll(&pfd, 1, 50);
-            continue;
-        }
-        if (wrote < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-}
-
-void
-Server::adminLoop()
-{
-    // One request per connection, one connection at a time: the
-    // admin plane serves a curl or engine_top poll every few hundred
-    // milliseconds, not traffic. It keeps serving during drain() -
-    // that is when /healthz flipping to 503 matters most - and exits
-    // on stop().
-    while (!stopping.load()) {
-        pollfd pfd{adminListener.get(), POLLIN, 0};
-        const int ready =
-            ::poll(&pfd, 1, static_cast<int>(cfg.tickMs));
-        if (ready <= 0)
-            continue;
-        Fd conn(::accept4(adminListener.get(), nullptr, nullptr,
-                          SOCK_NONBLOCK));
-        if (!conn.valid())
-            continue;
-        serveAdminRequest(conn);
-    }
+    if (path == "/stats")
+        return {200, kAdminJson, statsJson()};
+    return standardAdminReply(path,
+                              draining.load(std::memory_order_relaxed));
 }
 
 void

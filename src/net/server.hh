@@ -60,6 +60,7 @@
 
 #include "dynamo/flush.hh"
 #include "engine/engine.hh"
+#include "net/admin.hh"
 #include "net/socket.hh"
 #include "support/fault_injector.hh"
 #include "telemetry/span.hh"
@@ -382,15 +383,8 @@ class Server
      *  will never flush (close/teardown), keeping the per-stage
      *  sample counts conserved. */
     void settlePendingSpans(Connection &conn);
-    /** Admin listener thread: accept + serve one HTTP GET at a
-     *  time. */
-    void adminLoop();
-    /** Serve one admin connection (read request, write response,
-     *  close). */
-    void serveAdminRequest(Fd &conn);
-    /** Response body + status for an admin request path. */
-    std::string adminResponse(const std::string &path,
-                              int &status) const;
+    /** The admin plane's reply for one request path. */
+    AdminReply adminResponse(const std::string &path) const;
     /** The /stats document: flat JSON (scalars and flat numeric
      *  arrays only, so engine_top can scan it without a JSON
      *  parser). */

@@ -1073,11 +1073,15 @@ TEST(ClusterRouter, AdminEndpointServesMetricsTopologyAndStats)
 
     const std::string topology = adminRequest("/topology");
     EXPECT_NE(topology.find("HTTP/1.0 200 OK"), std::string::npos);
+    EXPECT_NE(topology.find("Content-Type: application/json\r\n"),
+              std::string::npos);
     EXPECT_NE(topology.find("\"backends\":["), std::string::npos);
     EXPECT_NE(topology.find("\"alive\":true"), std::string::npos);
 
     const std::string missing = adminRequest("/nonsense");
     EXPECT_NE(missing.find("HTTP/1.0 404 Not Found"),
+              std::string::npos);
+    EXPECT_NE(missing.find("Content-Type: text/plain; charset=utf-8"),
               std::string::npos);
 
     router.drain();

@@ -177,6 +177,35 @@ TEST(WireFormat, EmptyFrameRoundTrips)
     EXPECT_EQ(offset, bytes.size());
 }
 
+TEST(WireFormat, AppendingManyFramesReallocatesLogarithmically)
+{
+    // Producers pre-encode a whole stream into one shared buffer: each
+    // append must not reallocate it, or encoding n frames is O(n^2).
+    const std::vector<PathEvent> events = syntheticEvents(16, 5);
+    constexpr std::size_t kFrames = 1000;
+    std::vector<std::uint8_t> bytes;
+    std::size_t reallocations = 0;
+    for (std::size_t i = 0; i < kFrames; ++i) {
+        const std::size_t before = bytes.capacity();
+        wire::appendEventFrame(bytes, 1, i, events.data(),
+                               events.size());
+        if (bytes.capacity() != before)
+            ++reallocations;
+    }
+    // Doubling from one frame to ~1000 frames takes ~10 steps.
+    EXPECT_LE(reallocations, 16u);
+
+    std::size_t offset = 0;
+    wire::DecodedFrame frame;
+    for (std::size_t i = 0; i < kFrames; ++i) {
+        ASSERT_EQ(wire::decodeFrame(bytes.data(), bytes.size(),
+                                    offset, frame),
+                  wire::DecodeStatus::Ok);
+        ASSERT_EQ(frame.header.sequence, i);
+    }
+    EXPECT_EQ(offset, bytes.size());
+}
+
 TEST(WireFormat, TraceLogRoundTripsThroughBlockFrames)
 {
     TraceLog log;

@@ -7,13 +7,20 @@
  * gating, delayed-frame redelivery, the degradation policy's
  * enter/exit discipline, and load shedding under sustained overload.
  *
- * Everything except the final threaded test runs the engine in
+ * Everything except the threaded overload tests runs the engine in
  * serial mode, where the injection schedule is a pure function of
  * the fault seed and the submission order - so every count asserted
- * here is exact, not a bound.
+ * here is exact, not a bound. The threaded shedding tests hold the
+ * worker inside a completion callback, which makes their queue state
+ * (and so their counts) exact too.
  */
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,6 +73,60 @@ corruptCrc(std::vector<std::uint8_t> frame)
     frame.back() ^= 0xFF;
     return frame;
 }
+
+/**
+ * Records every completion of a one-worker engine and holds the
+ * worker inside the callback of sequence 0 until release(), so the
+ * frames submitted meanwhile meet a queue nobody drains.
+ */
+class HeldWorker
+{
+  public:
+    explicit HeldWorker(Engine &eng)
+    {
+        eng.setFrameCallback([this](const FrameOutcome &outcome) {
+            std::unique_lock<std::mutex> lock(mu);
+            outcomes.emplace_back(outcome.sequence, outcome.applied);
+            if (outcome.sequence != 0)
+                return;
+            held = true;
+            cv.notify_all();
+            cv.wait(lock, [this] { return released; });
+        });
+    }
+
+    void
+    waitHeld()
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [this] { return held; });
+    }
+
+    void
+    release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            released = true;
+        }
+        cv.notify_all();
+    }
+
+    /** (sequence, applied) per completion, in completion order. */
+    std::vector<std::pair<std::uint64_t, bool>>
+    completions()
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return outcomes;
+    }
+
+  private:
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;
+    bool released = false;
+    std::vector<std::pair<std::uint64_t, bool>> outcomes;
+};
 
 } // namespace
 
@@ -474,4 +535,88 @@ TEST(EngineResilience, LoadShedPreservesHitRateWithinBounds)
             static_cast<double>(session.stats().eventsProcessed);
     }));
     EXPECT_NEAR(shed_hit_rate, reference_hit_rate, 1e-12);
+}
+
+TEST(EngineResilience, ForcedDropOldestShedsOldestFramesInOrder)
+{
+    constexpr std::size_t kCapacity = 4;
+    constexpr std::size_t kLater = 12;
+    EngineConfig config;
+    config.workerThreads = 1;
+    config.queueCapacityFrames = kCapacity;
+    config.maxBatchFrames = 1;
+    config.overloadPolicy = OverloadPolicy::DropOldest;
+    const auto frames = makeFrames(/*session=*/8, kLater + 1, 4);
+
+    Engine eng(config);
+    HeldWorker worker(eng);
+    ASSERT_TRUE(eng.submit(frames[0]));
+    worker.waitHeld();
+    // The ring is empty and undrained: frames 1..kCapacity fill it,
+    // and each later frame sheds the oldest queued one, on this
+    // thread, before it is admitted.
+    eng.setForcedShedding(true);
+    for (std::size_t i = 1; i <= kLater; ++i)
+        ASSERT_TRUE(eng.submit(frames[i]));
+    worker.release();
+    eng.drain();
+    eng.shutdown();
+
+    std::vector<std::pair<std::uint64_t, bool>> expected;
+    expected.emplace_back(0, true);
+    for (std::uint64_t seq = 1; seq <= kLater - kCapacity; ++seq)
+        expected.emplace_back(seq, false);
+    for (std::uint64_t seq = kLater - kCapacity + 1; seq <= kLater;
+         ++seq)
+        expected.emplace_back(seq, true);
+    EXPECT_EQ(worker.completions(), expected);
+
+    const EngineStats stats = eng.stats();
+    EXPECT_EQ(stats.fault.shedFrames, kLater - kCapacity);
+    EXPECT_EQ(stats.backpressureWaits, 0u);
+    EXPECT_EQ(stats.framesSubmitted,
+              stats.framesRejected + stats.fault.injectedDrops +
+                  stats.fault.shedFrames + stats.framesDecoded);
+    EXPECT_EQ(stats.framesDecoded,
+              stats.fault.framesApplied +
+                  stats.fault.backoffDroppedFrames +
+                  stats.fault.allocDroppedFrames);
+    EXPECT_EQ(stats.fault.framesApplied, kCapacity + 1);
+}
+
+TEST(EngineResilience, ForcedSheddingUnderBlockShedsNothing)
+{
+    constexpr std::size_t kLater = 12;
+    EngineConfig config;
+    config.workerThreads = 1;
+    config.queueCapacityFrames = 4;
+    config.maxBatchFrames = 1;
+    config.overloadPolicy = OverloadPolicy::Block;
+    const auto frames = makeFrames(/*session=*/8, kLater + 1, 4);
+
+    Engine eng(config);
+    HeldWorker worker(eng);
+    ASSERT_TRUE(eng.submit(frames[0]));
+    worker.waitHeld();
+    eng.setForcedShedding(true);
+    std::thread producer([&] {
+        for (std::size_t i = 1; i <= kLater; ++i)
+            eng.submit(frames[i]);
+    });
+    // The producer parks on the full ring instead of shedding.
+    while (eng.stats().backpressureWaits == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    worker.release();
+    producer.join();
+    eng.drain();
+    eng.shutdown();
+
+    std::vector<std::pair<std::uint64_t, bool>> expected;
+    for (std::uint64_t seq = 0; seq <= kLater; ++seq)
+        expected.emplace_back(seq, true);
+    EXPECT_EQ(worker.completions(), expected);
+    const EngineStats stats = eng.stats();
+    EXPECT_EQ(stats.fault.shedFrames, 0u);
+    EXPECT_EQ(stats.fault.framesApplied, kLater + 1);
+    EXPECT_GE(stats.backpressureWaits, 1u);
 }

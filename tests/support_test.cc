@@ -3,7 +3,7 @@
  * Unit tests for the support layer: RNG determinism and statistical
  * sanity, alias sampling, Zipf weights, running stats, histograms,
  * table formatting, the non-owning FunctionRef, and the lock-free
- * MPSC ring the engine's shard queues are built on.
+ * MPMC ring the engine's shard queues are built on.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,7 @@
 #include <thread>
 
 #include "support/function_ref.hh"
-#include "support/mpsc_ring.hh"
+#include "support/mpmc_ring.hh"
 #include "support/random.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
@@ -344,19 +344,19 @@ TEST(FunctionRefTest, MutatesThroughReference)
     EXPECT_EQ(seen, (std::vector<int>{1, 2}));
 }
 
-// MpscRing ---------------------------------------------------------
+// MpmcRing (suite named MpscRingTest) ------------------------------
 
 TEST(MpscRingTest, CapacityRoundsUpToPowerOfTwo)
 {
-    support::MpscRing<int> ring(5);
+    support::MpmcRing<int> ring(5);
     EXPECT_EQ(ring.capacity(), 8u);
-    support::MpscRing<int> exact(16);
+    support::MpmcRing<int> exact(16);
     EXPECT_EQ(exact.capacity(), 16u);
 }
 
 TEST(MpscRingTest, FifoOrderSingleThread)
 {
-    support::MpscRing<int> ring(8);
+    support::MpmcRing<int> ring(8);
     EXPECT_TRUE(ring.empty());
     for (int i = 0; i < 8; ++i) {
         int v = i;
@@ -375,7 +375,7 @@ TEST(MpscRingTest, FifoOrderSingleThread)
 
 TEST(MpscRingTest, FullPushFailsAndLeavesValueIntact)
 {
-    support::MpscRing<std::string> ring(2);
+    support::MpmcRing<std::string> ring(2);
     std::string a = "a";
     std::string b = "b";
     ASSERT_TRUE(ring.tryPush(a));
@@ -395,7 +395,7 @@ TEST(MpscRingTest, FullPushFailsAndLeavesValueIntact)
 
 TEST(MpscRingTest, PopBatchDrainsInOrderUpToLimit)
 {
-    support::MpscRing<int> ring(16);
+    support::MpmcRing<int> ring(16);
     for (int i = 0; i < 10; ++i) {
         int v = i;
         ASSERT_TRUE(ring.tryPush(v));
@@ -411,7 +411,7 @@ TEST(MpscRingTest, PopBatchDrainsInOrderUpToLimit)
 
 TEST(MpscRingTest, SlotsAreReusableAcrossWraps)
 {
-    support::MpscRing<int> ring(4);
+    support::MpmcRing<int> ring(4);
     for (int round = 0; round < 100; ++round) {
         for (int i = 0; i < 4; ++i) {
             int v = round * 4 + i;
@@ -429,13 +429,13 @@ TEST(MpscRingTest, SlotsAreReusableAcrossWraps)
 
 TEST(MpscRingTest, MultiProducerDeliversEveryValueOnce)
 {
-    // 4 producers, one consumer (the ring's contract), bounded
+    // 4 producers, one consumer (the engine's common case), bounded
     // capacity so producers spin on a full ring: every pushed value
     // must arrive exactly once, and each producer's own values in
     // order.
     constexpr int kProducers = 4;
     constexpr int kPerProducer = 20000;
-    support::MpscRing<std::uint64_t> ring(64);
+    support::MpmcRing<std::uint64_t> ring(64);
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
@@ -476,4 +476,77 @@ TEST(MpscRingTest, MultiProducerDeliversEveryValueOnce)
     for (int p = 0; p < kProducers; ++p)
         EXPECT_EQ(next[p],
                   static_cast<std::uint64_t>(kPerProducer));
+}
+
+TEST(MpscRingTest, TwoConsumersDeliverEveryValueOnce)
+{
+    // The engine's shedding shape: a worker pops batches while a
+    // producer-side consumer pops single items. Every value must
+    // arrive exactly once across both, and each consumer must see
+    // each producer's values in push order (pops claim slots in
+    // order).
+    constexpr int kProducers = 4;
+    constexpr int kPerProducer = 20000;
+    constexpr std::uint64_t kTotal =
+        static_cast<std::uint64_t>(kProducers) * kPerProducer;
+    support::MpmcRing<std::uint64_t> ring(64);
+    std::atomic<std::uint64_t> received{0};
+
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&ring, p] {
+            for (int i = 0; i < kPerProducer; ++i) {
+                std::uint64_t v =
+                    (static_cast<std::uint64_t>(p) << 32) |
+                    static_cast<std::uint64_t>(i);
+                while (!ring.tryPush(v))
+                    std::this_thread::yield();
+            }
+        });
+    }
+
+    std::vector<std::uint64_t> got[2];
+    auto consume = [&](int self) {
+        std::vector<std::uint64_t> batch;
+        while (received.load() < kTotal) {
+            batch.clear();
+            if (self == 0) {
+                ring.popBatch(batch, 32);
+            } else {
+                std::uint64_t v = 0;
+                if (ring.tryPop(v))
+                    batch.push_back(v);
+            }
+            if (batch.empty()) {
+                std::this_thread::yield();
+                continue;
+            }
+            got[self].insert(got[self].end(), batch.begin(),
+                             batch.end());
+            received.fetch_add(batch.size());
+        }
+    };
+    std::thread batcher(consume, 0);
+    std::thread single(consume, 1);
+    for (std::thread &producer : producers)
+        producer.join();
+    batcher.join();
+    single.join();
+    EXPECT_TRUE(ring.empty());
+
+    std::vector<int> seen(kTotal, 0);
+    for (const std::vector<std::uint64_t> &values : got) {
+        std::vector<std::int64_t> last(kProducers, -1);
+        for (const std::uint64_t v : values) {
+            const auto p = static_cast<std::size_t>(v >> 32);
+            const auto seq = static_cast<std::int64_t>(v & 0xffffffffu);
+            ASSERT_LT(p, static_cast<std::size_t>(kProducers));
+            ASSERT_LT(seq, kPerProducer);
+            ASSERT_GT(seq, last[p]) << "producer " << p;
+            last[p] = seq;
+            ++seen[p * kPerProducer + static_cast<std::size_t>(seq)];
+        }
+    }
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        ASSERT_EQ(seen[i], 1) << "value " << i;
 }

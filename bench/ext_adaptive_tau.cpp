@@ -88,8 +88,6 @@ makeEngineConfig(std::uint64_t tau)
     cfg.workerThreads = 0; // serial: deterministic reference mode
     cfg.sessions.session.predictionDelay = tau;
     cfg.sessions.session.cacheCapacityInstr = kCacheCapacityInstr;
-    cfg.sessions.session.cachePolicy =
-        FragmentCache::EvictionPolicy::EvictLru;
     return cfg;
 }
 

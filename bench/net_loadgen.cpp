@@ -451,11 +451,8 @@ main(int argc, char **argv)
             // into the admin /stats document before the server
             // starts answering. The admin endpoint opens on an
             // ephemeral port so engine_top can watch the run live.
-            control::ControllerConfig ctlCfg;
-            ctlCfg.queueCapacityFrames =
-                engineCfg.queueCapacityFrames;
-            controller = std::make_unique<control::Controller>(
-                *eng, ctlCfg);
+            controller =
+                std::make_unique<control::Controller>(*eng);
             server->setStatsAugmenter(
                 [ctl = controller.get()](std::ostream &os) {
                     ctl->appendStats(os);

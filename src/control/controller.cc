@@ -19,8 +19,6 @@ Controller::Controller(engine::Engine &eng, ControllerConfig config)
     HOTPATH_ASSERT(
         std::is_sorted(cfg.tauRungs.begin(), cfg.tauRungs.end()),
         "tau rungs must ascend");
-    if (cfg.queueCapacityFrames == 0)
-        cfg.queueCapacityFrames = 1;
 
     tmEpochs = telemetry::counter("control.epochs");
     tmDecisions = telemetry::counter("control.decisions");
@@ -54,7 +52,7 @@ Controller::measurePressure() const
         max_depth = std::max(max_depth, depth);
     const std::uint64_t permille =
         static_cast<std::uint64_t>(max_depth) * 1000 /
-        cfg.queueCapacityFrames;
+        stats.queueCapacityFrames;
     return static_cast<std::uint32_t>(std::min<std::uint64_t>(
         permille, 1000));
 }

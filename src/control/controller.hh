@@ -91,11 +91,6 @@ struct ControllerConfig
      *  permille (the gap is the hysteresis band). */
     std::uint32_t shedOffPermille = 300;
 
-    /** The engine's per-shard queue capacity in frames (used to turn
-     *  queue depths into occupancy permille; keep in sync with
-     *  EngineConfig::queueCapacityFrames). */
-    std::size_t queueCapacityFrames = 256;
-
     /** Retune decisions kept in the in-memory log (oldest dropped
      *  first); the determinism test replays the whole log. */
     std::size_t decisionLogCap = 4096;

@@ -134,7 +134,9 @@ CfgDynamoEngine::enter(BlockId head)
     if (fragment == nullptr)
         return nullptr;
     activeRatio = fragment->ratio;
-    return &fragment->stitched;
+    // Formation always stitches at least the head block, so every
+    // fragment here has its links allocated.
+    return &fragment->links->stitched;
 }
 
 void

@@ -8,6 +8,19 @@
 namespace hotpath
 {
 
+namespace
+{
+
+/** Read-only view of `fragment`'s links; empty when it has none. */
+const FragmentLinks &
+viewLinks(const CodeFragment &fragment)
+{
+    static const FragmentLinks none;
+    return fragment.links ? *fragment.links : none;
+}
+
+} // namespace
+
 const char *
 cachePolicyName(CachePolicy policy)
 {
@@ -63,28 +76,40 @@ CodeCache::CodeCache(CodeCacheConfig config) : cfg(config)
         telemetry::gauge("dynamo.cache.resident.fragments");
     tmFragmentBytes =
         telemetry::histogram("dynamo.cache.fragment.bytes");
-    publishGauges();
+}
+
+CodeCache::~CodeCache()
+{
+    trackResident(-static_cast<std::int64_t>(occupancy),
+                  -static_cast<std::int64_t>(fragments.size()));
 }
 
 void
-CodeCache::publishGauges()
+CodeCache::trackResident(std::int64_t bytes, std::int64_t count)
 {
     if (tmResidentBytes)
-        tmResidentBytes->set(static_cast<std::int64_t>(occupancy));
+        tmResidentBytes->add(bytes);
     if (tmResidentFragments)
-        tmResidentFragments->set(
-            static_cast<std::int64_t>(fragments.size()));
+        tmResidentFragments->add(count);
+}
+
+FragmentLinks &
+CodeCache::linksOf(CodeFragment &fragment)
+{
+    if (!fragment.links)
+        fragment.links = std::make_unique<FragmentLinks>();
+    return *fragment.links;
 }
 
 void
 CodeCache::patchStub(CodeFragment &from, std::size_t stub_index,
                      CodeFragment &to)
 {
-    ExitStub &stub = from.stubs[stub_index];
+    ExitStub &stub = linksOf(from).stubs[stub_index];
     HOTPATH_ASSERT(!stub.linked, "stub already patched");
     HOTPATH_ASSERT(stub.target == to.key, "stub/target mismatch");
     stub.linked = true;
-    to.inbound.push_back(from.key);
+    linksOf(to).inbound.push_back(from.key);
     ++linkMade;
     if (tmLinksMade)
         tmLinksMade->add(1);
@@ -182,7 +207,8 @@ CodeCache::insert(std::uint32_t key, std::uint32_t instructions,
     fragment.sequence = ++sequence;
     fragment.generation = generation;
     fragment.ratio = ratio;
-    fragment.stitched = std::move(stitched);
+    if (!stitched.blocks.empty())
+        linksOf(fragment).stitched = std::move(stitched);
     auto [it, inserted] = fragments.emplace(key, std::move(fragment));
     HOTPATH_ASSERT(inserted);
     occupancy += code_bytes;
@@ -200,9 +226,9 @@ CodeCache::insert(std::uint32_t key, std::uint32_t instructions,
             auto from = fragments.find(owner);
             HOTPATH_ASSERT(from != fragments.end(),
                            "pending stub with evicted owner");
-            for (std::size_t s = 0; s < from->second.stubs.size();
-                 ++s) {
-                ExitStub &stub = from->second.stubs[s];
+            std::vector<ExitStub> &stubs = linksOf(from->second).stubs;
+            for (std::size_t s = 0; s < stubs.size(); ++s) {
+                ExitStub &stub = stubs[s];
                 if (stub.target == key && !stub.linked) {
                     patchStub(from->second, s, it->second);
                     ++stats.linksMade;
@@ -219,7 +245,7 @@ CodeCache::insert(std::uint32_t key, std::uint32_t instructions,
                      {"bytes", code_bytes},
                      {"links", stats.linksMade},
                      {"occupancy", occupancy}});
-    publishGauges();
+    trackResident(static_cast<std::int64_t>(code_bytes), 1);
     return stats;
 }
 
@@ -235,7 +261,6 @@ CodeCache::find(std::uint32_t key)
     if (tmHits)
         tmHits->add(1);
     it->second.lastUse = ++clock;
-    ++it->second.executions;
     return &it->second;
 }
 
@@ -260,7 +285,7 @@ CodeCache::recordExit(std::uint32_t from, std::uint32_t to)
                    "exit from a non-resident fragment");
     CodeFragment &source = from_it->second;
 
-    for (const ExitStub &stub : source.stubs) {
+    for (const ExitStub &stub : viewLinks(source).stubs) {
         if (stub.target != to)
             continue;
         if (stub.linked) {
@@ -279,15 +304,16 @@ CodeCache::recordExit(std::uint32_t from, std::uint32_t to)
     }
 
     // First exit to this target: materialize the stub trampoline.
-    source.stubs.push_back(ExitStub{to, false});
+    std::vector<ExitStub> &stubs = linksOf(source).stubs;
+    stubs.push_back(ExitStub{to, false});
     source.sizeBytes += cfg.stubBytes;
     occupancy += cfg.stubBytes;
-    publishGauges();
+    trackResident(cfg.stubBytes, 0);
     const auto to_it = fragments.find(to);
     if (to_it != fragments.end()) {
         // Target already resident: this runtime round trip patches
         // the fresh stub; subsequent exits branch directly.
-        patchStub(source, source.stubs.size() - 1, to_it->second);
+        patchStub(source, stubs.size() - 1, to_it->second);
         if (tmDispatchUnlinked)
             tmDispatchUnlinked->add(1);
         return ExitKind::PatchedNow;
@@ -307,7 +333,8 @@ CodeCache::evict(std::uint32_t key, EvictReason reason)
     CodeFragment &victim = it->second;
 
     // Outbound repair: detach this fragment's own exits.
-    for (const ExitStub &stub : victim.stubs) {
+    const FragmentLinks &links = viewLinks(victim);
+    for (const ExitStub &stub : links.stubs) {
         if (stub.linked) {
             ++linkBroken;
             if (tmLinksBroken)
@@ -317,7 +344,7 @@ CodeCache::evict(std::uint32_t key, EvictReason reason)
             auto target = fragments.find(stub.target);
             HOTPATH_ASSERT(target != fragments.end(),
                            "linked stub with absent target");
-            auto &inbound = target->second.inbound;
+            auto &inbound = linksOf(target->second).inbound;
             const auto pos =
                 std::find(inbound.begin(), inbound.end(), key);
             HOTPATH_ASSERT(pos != inbound.end(),
@@ -340,14 +367,14 @@ CodeCache::evict(std::uint32_t key, EvictReason reason)
 
     // Inbound repair: every neighbour's linked stub reverts to stub
     // state and re-queues for a future fragment at this head.
-    for (const std::uint32_t owner : victim.inbound) {
+    for (const std::uint32_t owner : links.inbound) {
         if (owner == key)
             continue; // self link, handled above
         auto from = fragments.find(owner);
         HOTPATH_ASSERT(from != fragments.end(),
                        "inbound link from absent fragment");
         bool reverted = false;
-        for (ExitStub &stub : from->second.stubs) {
+        for (ExitStub &stub : linksOf(from->second).stubs) {
             if (stub.target == key && stub.linked) {
                 stub.linked = false;
                 reverted = true;
@@ -363,16 +390,14 @@ CodeCache::evict(std::uint32_t key, EvictReason reason)
 
     telemetry::emit(telemetry::TraceEventKind::FragmentEvict,
                     "dynamo.cache",
-                    {{"key", key},
-                     {"bytes", victim.sizeBytes},
-                     {"executions", victim.executions}},
+                    {{"key", key}, {"bytes", victim.sizeBytes}},
                     evictReasonName(reason));
     occupancy -= victim.sizeBytes;
+    trackResident(-static_cast<std::int64_t>(victim.sizeBytes), -1);
     fragments.erase(it);
     ++evicted[static_cast<std::size_t>(reason)];
     if (tmEvictions[static_cast<std::size_t>(reason)])
         tmEvictions[static_cast<std::size_t>(reason)]->add(1);
-    publishGauges();
     return true;
 }
 
@@ -385,7 +410,7 @@ CodeCache::flushAll()
                      {"occupancy", occupancy}});
     std::uint64_t live_links = 0;
     for (const auto &entry : fragments) {
-        for (const ExitStub &stub : entry.second.stubs)
+        for (const ExitStub &stub : viewLinks(entry.second).stubs)
             live_links += stub.linked ? 1 : 0;
     }
     linkBroken += live_links;
@@ -397,13 +422,32 @@ CodeCache::flushAll()
         dropped > 0)
         tmEvictions[static_cast<std::size_t>(EvictReason::Flush)]
             ->add(dropped);
+    trackResident(-static_cast<std::int64_t>(occupancy),
+                  -static_cast<std::int64_t>(dropped));
     fragments.clear();
     pendingStubs.clear();
     occupancy = 0;
     ++flushCount;
     if (tmFlushes)
         tmFlushes->add(1);
-    publishGauges();
+}
+
+void
+CodeCache::restore(std::uint32_t key, std::uint32_t instructions,
+                   std::uint64_t lastUse)
+{
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(instructions) * cfg.bytesPerInstr;
+    CodeFragment fragment;
+    fragment.key = key;
+    fragment.instructions = instructions;
+    fragment.sizeBytes = bytes;
+    fragment.lastUse = lastUse;
+    const bool inserted =
+        fragments.emplace(key, std::move(fragment)).second;
+    HOTPATH_ASSERT(inserted, "fragment already cached for this key");
+    occupancy += bytes;
+    trackResident(static_cast<std::int64_t>(bytes), 1);
 }
 
 std::uint64_t
@@ -425,14 +469,14 @@ CodeCache::verifyLinkInvariants(std::string *error) const
     std::uint64_t tallied_bytes = 0;
     for (const auto &[key, fragment] : fragments) {
         tallied_bytes += fragment.sizeBytes;
-        for (const ExitStub &stub : fragment.stubs) {
+        for (const ExitStub &stub : viewLinks(fragment).stubs) {
             const auto target = fragments.find(stub.target);
             if (stub.linked) {
                 if (target == fragments.end())
                     return fail("linked stub " + std::to_string(key) +
                                 "->" + std::to_string(stub.target) +
                                 " has non-resident target");
-                const auto &inbound = target->second.inbound;
+                const auto &inbound = viewLinks(target->second).inbound;
                 if (std::count(inbound.begin(), inbound.end(), key) !=
                     1)
                     return fail("linked stub " + std::to_string(key) +
@@ -454,13 +498,13 @@ CodeCache::verifyLinkInvariants(std::string *error) const
                                 " not pending exactly once");
             }
         }
-        for (const std::uint32_t owner : fragment.inbound) {
+        for (const std::uint32_t owner : viewLinks(fragment).inbound) {
             const auto from = fragments.find(owner);
             if (from == fragments.end())
                 return fail("inbound link from non-resident " +
                             std::to_string(owner));
             std::size_t linked_stubs = 0;
-            for (const ExitStub &stub : from->second.stubs) {
+            for (const ExitStub &stub : viewLinks(from->second).stubs) {
                 if (stub.target == key && stub.linked)
                     ++linked_stubs;
             }
@@ -483,7 +527,7 @@ CodeCache::verifyLinkInvariants(std::string *error) const
                 return fail("pending stub owned by non-resident " +
                             std::to_string(owner));
             bool found = false;
-            for (const ExitStub &stub : from->second.stubs)
+            for (const ExitStub &stub : viewLinks(from->second).stubs)
                 found |= stub.target == target && !stub.linked;
             if (!found)
                 return fail("pending entry " + std::to_string(owner) +

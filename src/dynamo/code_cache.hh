@@ -2,12 +2,14 @@
  * @file
  * The managed code cache: a size-bounded arena of linked fragments.
  *
- * Where dynamo/fragment_cache.hh models cache *capacity* (and stays
- * the wire-stable per-session cache of the serving tier), this class
- * is the executing cache of the Dynamo loop: it owns the stitched
- * fragments the Machine dispatches through (sim/dispatch.hh), the
- * exit-stub link graph between them, and the capacity-management
- * policies the paper's Section 6 discussion motivates measuring.
+ * The one fragment cache of the repository. It is the executing
+ * cache of the Dynamo loop - it owns the stitched fragments the
+ * Machine dispatches through (sim/dispatch.hh), the exit-stub link
+ * graph between them, and the capacity-management policies the
+ * paper's Section 6 discussion motivates measuring - and, at path
+ * granularity (key = PathIndex, no stitched sequence, no exits), the
+ * per-session cache of the serving tier (engine/session.hh), whose
+ * LRU state migrates between backends via restore().
  *
  * Linking model (Dynamo's): every fragment exit is initially a stub -
  * a short trampoline that returns control to the runtime. When the
@@ -47,6 +49,7 @@
 #define HOTPATH_DYNAMO_CODE_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -128,6 +131,19 @@ struct ExitStub
     bool linked = false;
 };
 
+/** A fragment's stitched block sequence and exit-stub links. */
+struct FragmentLinks
+{
+    /** The stitched block sequence the Machine dispatches. */
+    StitchedFragment stitched;
+
+    /** Outbound exits, in creation order. */
+    std::vector<ExitStub> stubs;
+
+    /** Keys of fragments holding a linked stub targeting this one. */
+    std::vector<std::uint32_t> inbound;
+};
+
 /** One resident fragment plus its link bookkeeping. */
 struct CodeFragment
 {
@@ -140,9 +156,6 @@ struct CodeFragment
 
     /** Arena bytes occupied (code plus live stub trampolines). */
     std::uint64_t sizeBytes = 0;
-
-    /** Executions entered at this fragment's head. */
-    std::uint64_t executions = 0;
 
     /** Last-use stamp from the cache's monotonic clock. */
     std::uint64_t lastUse = 0;
@@ -157,14 +170,13 @@ struct CodeFragment
      *  the trace optimizer ran; 1.0 for layout-only fragments). */
     double ratio = 1.0;
 
-    /** The stitched block sequence (empty at path granularity). */
-    StitchedFragment stitched;
-
-    /** Outbound exits, in creation order. */
-    std::vector<ExitStub> stubs;
-
-    /** Keys of fragments holding a linked stub targeting this one. */
-    std::vector<std::uint32_t> inbound;
+    /**
+     * Stitched sequence and links, allocated once the fragment has
+     * any; null for the path-granularity fragments of serving
+     * sessions, so that the many fragments a server keeps resident
+     * stay small (a lookup touches only the fields above).
+     */
+    std::unique_ptr<FragmentLinks> links;
 };
 
 /** What one insert did to the cache. */
@@ -203,6 +215,12 @@ class CodeCache
     /** Build an empty cache with the given geometry. */
     explicit CodeCache(CodeCacheConfig config = {});
 
+    /** Withdraws the cache's share of the resident gauges. */
+    ~CodeCache();
+
+    CodeCache(const CodeCache &) = delete;
+    CodeCache &operator=(const CodeCache &) = delete;
+
     /**
      * Insert a fragment for `key` (asserts no fragment is resident
      * for it). Applies the capacity policy first, then links every
@@ -214,9 +232,8 @@ class CodeCache
                        StitchedFragment stitched = {});
 
     /**
-     * Fragment lookup for execution: refreshes the LRU stamp, bumps
-     * the execution count and the hit/miss telemetry. nullptr when
-     * not resident.
+     * Fragment lookup for execution: refreshes the LRU stamp and
+     * bumps the hit/miss telemetry. nullptr when not resident.
      */
     CodeFragment *find(std::uint32_t key);
 
@@ -291,6 +308,25 @@ class CodeCache
             fn(entry.second);
     }
 
+    // Migration support (engine::Session export/import) ------------
+
+    /**
+     * Reinstall a fragment on a fresh cache with its exact `lastUse`
+     * stamp, so LRU eviction order after an import matches the
+     * exporting cache. Unlike insert() there is no capacity check, no
+     * counter or trace telemetry, and the fragment does not count as
+     * formed; the resident gauges do include it. Asserts no fragment
+     * is resident for `key`.
+     */
+    void restore(std::uint32_t key, std::uint32_t instructions,
+                 std::uint64_t lastUse);
+
+    /** The LRU clock (monotonic touch stamp source). */
+    std::uint64_t clockValue() const { return clock; }
+
+    /** Reset the LRU clock to an exported value (import path). */
+    void setClockValue(std::uint64_t value) { clock = value; }
+
     /**
      * Whole-graph link audit for tests: every linked stub's target
      * is resident and lists the owner as inbound; every inbound
@@ -306,10 +342,14 @@ class CodeCache
     void evictVictims(std::uint64_t incoming_bytes, bool fifo,
                       InsertStats &stats);
     void evictOldestGeneration(InsertStats &stats);
+    /** `fragment`'s links, allocated on first use. */
+    static FragmentLinks &linksOf(CodeFragment &fragment);
     /** Link the stub at `stub_index` of `from` to resident `to`. */
     void patchStub(CodeFragment &from, std::size_t stub_index,
                    CodeFragment &to);
-    void publishGauges();
+    /** Add an occupancy change to the process-wide resident gauges,
+     *  which sum over every live cache. */
+    void trackResident(std::int64_t bytes, std::int64_t count);
 
     CodeCacheConfig cfg;
     std::unordered_map<std::uint32_t, CodeFragment> fragments;

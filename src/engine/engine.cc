@@ -373,9 +373,8 @@ Engine::noteQueueDepth(ShardQueue &queue, std::size_t shard_index,
 {
     // A ring size() read can transiently overshoot the capacity (the
     // two cursors are loaded independently); clamp so the recorded
-    // high-water mark never exceeds the configured bound.
-    const std::size_t clamped =
-        std::min(depth, cfg.queueCapacityFrames);
+    // high-water mark never exceeds the ring's slot count.
+    const std::size_t clamped = std::min(depth, queue.ring.capacity());
     std::size_t prev = queue.highWater.load(std::memory_order_relaxed);
     while (clamped > prev &&
            !queue.highWater.compare_exchange_weak(
@@ -880,7 +879,7 @@ Engine::workerLoop(std::size_t worker_index)
                 queue.spaceAvailable.notify_all();
             }
             const auto depth = static_cast<std::int64_t>(
-                std::min(queue.ring.size(), cfg.queueCapacityFrames));
+                std::min(queue.ring.size(), queue.ring.capacity()));
             if (tmQueueDepth)
                 tmQueueDepth->set(depth);
             if (tmShardDepth[shard_index])
@@ -1155,6 +1154,7 @@ Engine::stats() const
     stats.fault.framesApplied =
         framesAppliedCount.load(std::memory_order_relaxed);
 
+    stats.queueCapacityFrames = queues.front()->ring.capacity();
     stats.queueHighWater.reserve(queues.size());
     stats.queueDepth.reserve(queues.size());
     stats.queueBackpressureWaits.reserve(queues.size());
@@ -1162,7 +1162,7 @@ Engine::stats() const
         stats.queueHighWater.push_back(
             queue->highWater.load(std::memory_order_relaxed));
         stats.queueDepth.push_back(
-            std::min(queue->ring.size(), cfg.queueCapacityFrames));
+            std::min(queue->ring.size(), queue->ring.capacity()));
         const std::uint64_t waits =
             queue->backpressureWaits.load(std::memory_order_relaxed);
         stats.queueBackpressureWaits.push_back(waits);

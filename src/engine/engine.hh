@@ -370,6 +370,11 @@ struct EngineStats
     /** Fault-injection and recovery accounting. */
     FaultRecoveryStats fault;
 
+    /** Frames one shard queue holds: EngineConfig::queueCapacityFrames
+     *  rounded up to a power of two (1 in serial mode). The depths
+     *  and high-water marks never exceed it. */
+    std::size_t queueCapacityFrames = 0;
+
     /** Per-shard queue high-water marks (frames). */
     std::vector<std::size_t> queueHighWater;
 

@@ -11,7 +11,9 @@ Session::Session(std::uint64_t id, const SessionConfig &config)
     : sessionId(id), cfg(config),
       predictor(config.predictionDelay, config.reArm,
                 config.decayShift),
-      fragments(config.cacheCapacityInstr, config.cachePolicy)
+      fragments(CodeCacheConfig{config.cacheCapacityInstr,
+                                CachePolicy::EvictLru,
+                                /*bytesPerInstr=*/1})
 {
 }
 
@@ -93,11 +95,9 @@ Session::exportState(wire::SessionState &out) const
         out.retired.push_back(head);
     std::sort(out.retired.begin(), out.retired.end());
 
-    fragments.forEach([&out](const Fragment &fragment) {
-        out.fragments.push_back({fragment.path,
-                                 fragment.instructions,
-                                 fragment.executions,
-                                 fragment.lastUse});
+    fragments.forEach([&out](const CodeFragment &fragment) {
+        out.fragments.push_back({fragment.key, fragment.instructions,
+                                 /*executions=*/0, fragment.lastUse});
     });
     std::sort(out.fragments.begin(), out.fragments.end(),
               [](const wire::SessionFragmentEntry &a,
@@ -130,7 +130,7 @@ Session::importState(const wire::SessionState &in)
         predictor.restoreRetired(head);
     for (const wire::SessionFragmentEntry &fragment : in.fragments)
         fragments.restore(fragment.path, fragment.instructions,
-                          fragment.executions, fragment.lastUse);
+                          fragment.lastUse);
     fragments.setClockValue(in.cacheClock);
 
     lastSequence = in.lastSequence;

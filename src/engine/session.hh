@@ -3,7 +3,8 @@
  * One client's prediction state inside the serving engine.
  *
  * A Session embeds the same components the in-process pipeline uses -
- * a NET predictor (head counters) and a fragment cache - so that
+ * a NET predictor (head counters) and a path-granularity CodeCache
+ * (key = PathIndex, capacity in instructions, LRU eviction) - so that
  * feeding a session the event stream of one client reproduces, event
  * for event, what an in-process Dynamo-style replay of that client
  * would do. That equivalence is the engine's determinism contract and
@@ -20,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dynamo/fragment_cache.hh"
+#include "dynamo/code_cache.hh"
 #include "engine/wire_format.hh"
 #include "predict/net_predictor.hh"
 
@@ -47,12 +48,10 @@ struct SessionConfig
     std::uint32_t decayShift = 0;
 
     /** Per-session fragment cache capacity in instructions (0 = no
-     *  cap). */
+     *  cap); the least recently used fragments are evicted to fit.
+     *  LRU is the only policy whose state a snapshot carries, so it
+     *  is the only one a migrating session can use. */
     std::uint64_t cacheCapacityInstr = 0;
-
-    /** Cache policy when the capacity cap is hit. */
-    FragmentCache::EvictionPolicy cachePolicy =
-        FragmentCache::EvictionPolicy::EvictLru;
 
     /**
      * Keep the ordered log of predicted paths. The determinism tests
@@ -160,7 +159,7 @@ class Session
     void retune(std::uint64_t prediction_delay);
 
     /** The session's fragment cache (read-only). */
-    const FragmentCache &cache() const { return fragments; }
+    const CodeCache &cache() const { return fragments; }
 
     // Error budget & re-admission backoff --------------------------
 
@@ -224,7 +223,7 @@ class Session
     std::uint64_t sessionId;
     SessionConfig cfg;
     NetPredictor predictor;
-    FragmentCache fragments;
+    CodeCache fragments;
     SessionStats st;
     std::vector<PathIndex> predictionLog;
     bool sawFrame = false;

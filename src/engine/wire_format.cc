@@ -208,9 +208,11 @@ decodeSessionState(const std::uint8_t *data, std::size_t payload_end,
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t delta = 0;
         SessionCounterEntry entry;
+        // Keys must strictly ascend from 1, as exporters write them:
+        // the counter table reserves key 0 for empty slots.
         if (!readVarint(data, payload_end, cur, delta) ||
             !readVarint(data, payload_end, cur, entry.count) ||
-            key > ~std::uint64_t{0} - delta)
+            delta == 0 || key > ~std::uint64_t{0} - delta)
             return false;
         key += delta;
         entry.key = key;
@@ -245,6 +247,10 @@ decodeSessionState(const std::uint8_t *data, std::size_t payload_end,
             !readVarint(data, payload_end, cur, instructions) ||
             !readVarint(data, payload_end, cur, entry.executions) ||
             !readVarint(data, payload_end, cur, entry.lastUse))
+            return false;
+        // Paths must strictly ascend, as exporters write them: a
+        // repeated path would cache one fragment twice.
+        if ((i > 0 && delta == 0) || delta > ~std::uint32_t{0})
             return false;
         path += delta;
         if (path > ~std::uint32_t{0} ||
@@ -437,8 +443,9 @@ appendSessionStateFrame(std::vector<std::uint8_t> &out,
     appendVarint(payload, state.counters.size());
     std::uint64_t prev_key = 0;
     for (const SessionCounterEntry &c : state.counters) {
-        HOTPATH_ASSERT(c.key >= prev_key,
-                       "session-state counters must ascend");
+        HOTPATH_ASSERT(c.key > prev_key,
+                       "session-state counters must strictly ascend "
+                       "from 1");
         appendVarint(payload, c.key - prev_key);
         appendVarint(payload, c.count);
         prev_key = c.key;
@@ -454,6 +461,9 @@ appendSessionStateFrame(std::vector<std::uint8_t> &out,
     appendVarint(payload, state.fragments.size());
     std::uint64_t prev_path = 0;
     for (const SessionFragmentEntry &f : state.fragments) {
+        HOTPATH_ASSERT(&f == state.fragments.data() ||
+                           f.path > prev_path,
+                       "session-state fragments must strictly ascend");
         appendVarint(payload, f.path - prev_path);
         appendVarint(payload, f.instructions);
         appendVarint(payload, f.executions);

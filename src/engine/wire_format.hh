@@ -89,7 +89,8 @@ struct SessionFragmentEntry
     PathIndex path = 0;
     /** Fragment size in instructions (occupancy accounting). */
     std::uint32_t instructions = 0;
-    /** Times the cached fragment has been executed. */
+    /** Reserved: exporters write 0 and importers ignore it (the
+     *  cache keeps no execution counts). */
     std::uint64_t executions = 0;
     /** LRU clock stamp of the fragment's last touch. */
     std::uint64_t lastUse = 0;

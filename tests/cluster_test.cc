@@ -87,6 +87,30 @@ recordingConfig(std::size_t workers)
     return config;
 }
 
+/** Hand-encode a SessionState frame around `payload`: the encoder
+ *  refuses to write a malformed snapshot, so hostile ones are built
+ *  byte by byte. */
+std::vector<std::uint8_t>
+rawStateFrame(std::uint64_t session, std::uint64_t sequence,
+              std::uint64_t count,
+              const std::vector<std::uint8_t> &payload)
+{
+    std::vector<std::uint8_t> frame = {'H', 'F'};
+    const std::size_t crcBegin = frame.size();
+    frame.push_back(
+        static_cast<std::uint8_t>(wire::FrameKind::SessionState));
+    wire::appendVarint(frame, session);
+    wire::appendVarint(frame, sequence);
+    wire::appendVarint(frame, count);
+    wire::appendVarint(frame, payload.size());
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    const std::uint32_t crc =
+        wire::crc32(frame.data() + crcBegin, frame.size() - crcBegin);
+    for (int shift = 0; shift < 32; shift += 8)
+        frame.push_back(static_cast<std::uint8_t>(crc >> shift));
+    return frame;
+}
+
 /** Server config tuned for fast tests (short maintenance tick). */
 net::ServerConfig
 testServerConfig()
@@ -358,6 +382,71 @@ TEST(SessionStateWire, CorruptSnapshotResyncsToNextFrame)
     EXPECT_EQ(decoded.header.sequence, 1u);
 }
 
+TEST(SessionStateWire, HostileSnapshotsAreRejected)
+{
+    // Snapshots an exporter never writes, each of which used to abort
+    // the backend on import: a 34-byte one that lists fragment path
+    // 10 twice (path delta 0), so one fragment would be cached twice,
+    // and one whose counter key is 0, the counter table's empty-slot
+    // marker. The decoder must refuse both and the engine must keep
+    // serving.
+    constexpr std::uint64_t kSession = 5;
+    const std::vector<std::vector<std::uint64_t>> payloads = {
+        {0, 13, 0, 1, 2,       // flags, delay, sequence, sawFrame, clock
+         0, 0,                 // no counters, no retired heads
+         2, 10, 40, 0, 1,      // two fragments: path 10 ...
+         0, 40, 0, 2,          // ... and path 10 again
+         0, 0, 0, 0, 0, 0, 0}, // lifetime statistics
+        {0, 13, 0, 1, 0,       // flags, delay, sequence, sawFrame, clock
+         1, 0, 5,              // one counter: key 0, count 5
+         0, 0,                 // no retired heads, no fragments
+         0, 0, 0, 0, 0, 0, 0}, // lifetime statistics
+    };
+    const std::uint64_t counts[] = {2, 1};
+    std::vector<std::vector<std::uint8_t>> hostile;
+    for (std::size_t h = 0; h < payloads.size(); ++h) {
+        std::vector<std::uint8_t> payload;
+        for (const std::uint64_t v : payloads[h])
+            wire::appendVarint(payload, v);
+        hostile.push_back(rawStateFrame(kSession, 0, counts[h], payload));
+        std::size_t offset = 0;
+        wire::DecodedFrame decoded;
+        EXPECT_EQ(wire::decodeFrame(hostile[h].data(), hostile[h].size(),
+                                    offset, decoded),
+                  wire::DecodeStatus::BadPayload)
+            << "snapshot " << h;
+    }
+    ASSERT_EQ(hostile[0].size(), 34u);
+
+    Engine eng(recordingConfig(0));
+    std::vector<std::pair<std::uint64_t, bool>> outcomes;
+    eng.setFrameCallback([&](const FrameOutcome &outcome) {
+        outcomes.emplace_back(outcome.sequence, outcome.applied);
+    });
+    for (const auto &frame : hostile)
+        ASSERT_TRUE(eng.submit(frame));
+    const auto frames = makeFrames(kSession, 1, 6, 48);
+    for (const auto &frame : frames)
+        ASSERT_TRUE(eng.submit(frame));
+
+    // The hostile frames are answered unapplied; the session then
+    // serves exactly as a fresh one would.
+    ASSERT_EQ(outcomes.size(), hostile.size() + frames.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i)
+        EXPECT_EQ(outcomes[i].second, i >= hostile.size())
+            << "frame " << i;
+    const EngineStats stats = eng.stats();
+    EXPECT_EQ(stats.rejects.badPayload, hostile.size());
+    EXPECT_EQ(stats.sessionsImported, 0u);
+
+    Engine fresh(recordingConfig(0));
+    for (const auto &frame : frames)
+        ASSERT_TRUE(fresh.submit(frame));
+    EXPECT_FALSE(fresh.predictionsFor(kSession).empty());
+    EXPECT_EQ(eng.predictionsFor(kSession),
+              fresh.predictionsFor(kSession));
+}
+
 // --- export -> wire -> import bit-identity ------------------------
 
 TEST(SessionMigration, ExportWireImportContinuesBitIdentically)
@@ -366,66 +455,94 @@ TEST(SessionMigration, ExportWireImportContinuesBitIdentically)
     constexpr std::size_t kFrames = 24;
     const auto frames = makeFrames(kSession, 0, kFrames, 64);
 
+    /** Capacity evictions of the session's fragment cache so far. */
+    const auto evictions = [](Engine &eng) {
+        std::uint64_t count = 0;
+        eng.withSessionStats(kSession, [&](const Session &session) {
+            count = session.cache().evictions();
+        });
+        return count;
+    };
+
     // Property: for ANY split point, exporting after the prefix and
     // importing into a fresh engine continues the suffix with
-    // byte-identical predictions and byte-identical end state.
-    for (const std::size_t split : {std::size_t{1}, std::size_t{8},
-                                    std::size_t{23}}) {
-        Engine original(recordingConfig(2));
-        for (std::size_t i = 0; i < split; ++i)
-            ASSERT_TRUE(original.submit(frames[i]));
-        original.drain();
+    // byte-identical predictions and byte-identical end state. It
+    // must hold with an unlimited fragment cache and with one so
+    // small (the eight paths need 380 instructions) that the session
+    // evicts before and after the cut: then the LRU stamps carried
+    // across migration pick the suffix's victims.
+    for (const std::uint64_t capacity :
+         {std::uint64_t{0}, std::uint64_t{120}}) {
+        EngineConfig config = recordingConfig(2);
+        config.sessions.session.cacheCapacityInstr = capacity;
+        for (const std::size_t split :
+             {std::size_t{1}, std::size_t{8}, std::size_t{23}}) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         ", split " + std::to_string(split));
+            Engine original(config);
+            for (std::size_t i = 0; i < split; ++i)
+                ASSERT_TRUE(original.submit(frames[i]));
+            original.drain();
+            // The first frame predicts nothing yet, so it cannot
+            // evict either.
+            if (capacity != 0 && split > 1) {
+                EXPECT_GT(evictions(original), 0u);
+            }
 
-        wire::SessionState snapshot;
-        ASSERT_TRUE(original.exportSession(kSession, snapshot));
-        std::vector<std::uint8_t> wireBytes;
-        wire::appendSessionStateFrame(wireBytes, kSession, 0,
-                                      snapshot);
-        std::size_t offset = 0;
-        wire::DecodedFrame decoded;
-        ASSERT_EQ(wire::decodeFrame(wireBytes.data(),
-                                    wireBytes.size(), offset,
-                                    decoded),
-                  wire::DecodeStatus::Ok);
+            wire::SessionState snapshot;
+            ASSERT_TRUE(original.exportSession(kSession, snapshot));
+            std::vector<std::uint8_t> wireBytes;
+            wire::appendSessionStateFrame(wireBytes, kSession, 0,
+                                          snapshot);
+            std::size_t offset = 0;
+            wire::DecodedFrame decoded;
+            ASSERT_EQ(wire::decodeFrame(wireBytes.data(),
+                                        wireBytes.size(), offset,
+                                        decoded),
+                      wire::DecodeStatus::Ok);
 
-        Engine migrated(recordingConfig(2));
-        migrated.importSession(kSession, decoded.state);
+            Engine migrated(config);
+            migrated.importSession(kSession, decoded.state);
 
-        for (std::size_t i = split; i < kFrames; ++i) {
-            ASSERT_TRUE(original.submit(frames[i]));
-            ASSERT_TRUE(migrated.submit(frames[i]));
+            for (std::size_t i = split; i < kFrames; ++i) {
+                ASSERT_TRUE(original.submit(frames[i]));
+                ASSERT_TRUE(migrated.submit(frames[i]));
+            }
+            original.drain();
+            migrated.drain();
+            // An imported cache starts its eviction count at zero.
+            if (capacity != 0) {
+                EXPECT_GT(evictions(migrated), 0u);
+            }
+
+            // The migrated engine's suffix predictions match the
+            // original's, prediction for prediction.
+            const auto originalPaths =
+                original.predictionsFor(kSession);
+            const auto migratedPaths =
+                migrated.predictionsFor(kSession);
+            ASSERT_LE(migratedPaths.size(), originalPaths.size());
+            EXPECT_TRUE(std::equal(migratedPaths.begin(),
+                                   migratedPaths.end(),
+                                   originalPaths.end() -
+                                       static_cast<std::ptrdiff_t>(
+                                           migratedPaths.size())))
+                << "suffix predictions diverged after migration";
+
+            // And the end states are byte-identical on the wire: same
+            // counters, same fragment cache (exact LRU stamps), same
+            // lifetime statistics.
+            wire::SessionState endOriginal, endMigrated;
+            ASSERT_TRUE(original.exportSession(kSession, endOriginal));
+            ASSERT_TRUE(migrated.exportSession(kSession, endMigrated));
+            std::vector<std::uint8_t> bytesOriginal, bytesMigrated;
+            wire::appendSessionStateFrame(bytesOriginal, kSession, 0,
+                                          endOriginal);
+            wire::appendSessionStateFrame(bytesMigrated, kSession, 0,
+                                          endMigrated);
+            EXPECT_EQ(bytesMigrated, bytesOriginal)
+                << "end-state snapshots differ on the wire";
         }
-        original.drain();
-        migrated.drain();
-
-        // The migrated engine's suffix predictions match the
-        // original's, prediction for prediction.
-        const auto originalPaths = original.predictionsFor(kSession);
-        const auto migratedPaths = migrated.predictionsFor(kSession);
-        ASSERT_LE(migratedPaths.size(), originalPaths.size())
-            << "split " << split;
-        EXPECT_TRUE(std::equal(migratedPaths.begin(),
-                               migratedPaths.end(),
-                               originalPaths.end() -
-                                   static_cast<std::ptrdiff_t>(
-                                       migratedPaths.size())))
-            << "split " << split
-            << ": suffix predictions diverged after migration";
-
-        // And the end states are byte-identical on the wire: same
-        // counters, same fragment cache (exact LRU stamps), same
-        // lifetime statistics.
-        wire::SessionState endOriginal, endMigrated;
-        ASSERT_TRUE(original.exportSession(kSession, endOriginal));
-        ASSERT_TRUE(migrated.exportSession(kSession, endMigrated));
-        std::vector<std::uint8_t> bytesOriginal, bytesMigrated;
-        wire::appendSessionStateFrame(bytesOriginal, kSession, 0,
-                                      endOriginal);
-        wire::appendSessionStateFrame(bytesMigrated, kSession, 0,
-                                      endMigrated);
-        EXPECT_EQ(bytesMigrated, bytesOriginal)
-            << "split " << split
-            << ": end-state snapshots differ on the wire";
     }
 }
 

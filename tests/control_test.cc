@@ -2,14 +2,18 @@
  * @file
  * Adaptive control plane tests: classifier rule coverage over
  * hand-built samples, the controller's τ ladder moves against live
- * engine sessions, the queue-pressure shed hysteresis, the exported
+ * engine sessions, queue pressure against the ring's real capacity,
+ * the queue-pressure shed hysteresis, the exported
  * load hint, the admin-stats fragment, and the determinism contract
  * (same traffic + same step schedule => identical decision logs and
  * predictions at any worker count; the engine-tsan CI job runs this
  * file under ThreadSanitizer).
  */
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -275,6 +279,59 @@ TEST(Controller, ShedHysteresisDrivesForcedShedding)
     EXPECT_EQ(stats.shedReleased, 1u);
     EXPECT_FALSE(stats.shedActive);
     EXPECT_EQ(stats.lastPressurePermille, 299u);
+}
+
+TEST(Controller, PressureIsDepthOverTheRingCapacity)
+{
+    // A 5-frame capacity rounds up to an 8-slot ring. With the worker
+    // held in the completion callback of frame 0, eight more frames
+    // fill the ring: the depth must read 8 and the pressure 1000
+    // permille, not a depth clamped to 5 over a guessed capacity.
+    engine::EngineConfig cfg = controlEngineConfig(1, 64);
+    cfg.queueCapacityFrames = 5;
+    cfg.maxBatchFrames = 1;
+    engine::Engine eng(cfg);
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;
+    bool released = false;
+    eng.setFrameCallback([&](const engine::FrameOutcome &outcome) {
+        if (outcome.sequence != 0)
+            return;
+        std::unique_lock<std::mutex> lock(mu);
+        held = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return released; });
+    });
+    const std::vector<PathEvent> events(4, PathEvent{10, 1, 5, 4, 35});
+    ASSERT_TRUE(eng.submitEvents(1, 0, events.data(), events.size()));
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return held; });
+    }
+    for (std::uint64_t seq = 1; seq <= 8; ++seq)
+        ASSERT_TRUE(
+            eng.submitEvents(1, seq, events.data(), events.size()));
+
+    const engine::EngineStats stats = eng.stats();
+    EXPECT_EQ(stats.queueCapacityFrames, 8u);
+    EXPECT_EQ(*std::max_element(stats.queueDepth.begin(),
+                                stats.queueDepth.end()),
+              8u);
+    EXPECT_EQ(*std::max_element(stats.queueHighWater.begin(),
+                                stats.queueHighWater.end()),
+              8u);
+    Controller ctl(eng);
+    ctl.step();
+    EXPECT_EQ(ctl.stats().lastPressurePermille, 1000u);
+
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        released = true;
+    }
+    cv.notify_all();
+    eng.drain();
 }
 
 TEST(Controller, AppendStatsEmitsFlatJsonFragments)

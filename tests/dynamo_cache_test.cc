@@ -2,7 +2,8 @@
  * @file
  * Tests for the managed code cache and the Dynamo-loop execution
  * contract: exit-stub linking lifecycle, unlink-on-evict repair,
- * capacity policies, and the byte-identity of interpreter-vs-fragment
+ * capacity policies, migration restore, the additive resident
+ * gauges, and the byte-identity of interpreter-vs-fragment
  * execution under every CachePolicy and a seeded fault plan.
  */
 
@@ -17,6 +18,7 @@
 #include "dynamo/code_cache.hh"
 #include "progen/presets.hh"
 #include "sim/machine.hh"
+#include "telemetry/telemetry.hh"
 
 using namespace hotpath;
 
@@ -45,6 +47,98 @@ invariantError(const CodeCache &cache)
 }
 
 } // namespace
+
+TEST(CodeCacheTest, InsertFindFlush)
+{
+    CodeCache cache = makeCache(0, CachePolicy::FlushAll);
+    EXPECT_EQ(cache.find(3), nullptr);
+    EXPECT_FALSE(cache.insert(3, 100).flushed);
+    ASSERT_NE(cache.find(3), nullptr);
+    EXPECT_EQ(cache.find(3)->instructions, 100u);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.residentBytes(), 400u);
+
+    cache.flushAll();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.find(3), nullptr);
+    EXPECT_EQ(cache.flushes(), 1u);
+    EXPECT_EQ(cache.fragmentsFormed(), 1u); // lifetime count
+}
+
+TEST(CodeCacheDeathTest, DuplicateInsertPanics)
+{
+    CodeCache cache;
+    cache.insert(1, 10);
+    EXPECT_DEATH(cache.insert(1, 10), "already cached");
+    cache.restore(2, 10, 1);
+    EXPECT_DEATH(cache.restore(2, 10, 2), "already cached");
+}
+
+TEST(CodeCacheTest, RestoreKeepsExactLruStampsSilently)
+{
+    // Path granularity, as a serving session runs the cache: one
+    // byte per instruction, LRU, no exits.
+    CodeCacheConfig config;
+    config.capacityBytes = 200;
+    config.policy = CachePolicy::EvictLru;
+    config.bytesPerInstr = 1;
+    CodeCache cache(config);
+    cache.restore(1, 100, /*lastUse=*/7);
+    cache.restore(2, 100, /*lastUse=*/3);
+    cache.setClockValue(7);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.residentBytes(), 200u);
+    EXPECT_EQ(cache.fragmentsFormed(), 0u);
+    ASSERT_NE(cache.peek(1), nullptr);
+    EXPECT_EQ(cache.peek(1)->lastUse, 7u);
+
+    // The next insert evicts by the restored stamps (2 is older) and
+    // takes its own stamp from the restored clock.
+    EXPECT_EQ(cache.insert(3, 100).evicted, 1u);
+    EXPECT_TRUE(cache.contains(1));
+    EXPECT_FALSE(cache.contains(2));
+    ASSERT_NE(cache.peek(3), nullptr);
+    EXPECT_EQ(cache.peek(3)->lastUse, 8u);
+    EXPECT_EQ(cache.clockValue(), 8u);
+    EXPECT_TRUE(cache.verifyLinkInvariants()) << invariantError(cache);
+}
+
+TEST(CodeCacheTest, ResidentGaugesSumOverLiveCaches)
+{
+    telemetry::TelemetrySession session;
+    const telemetry::Gauge &bytes =
+        session.registry().gauge("dynamo.cache.resident.bytes");
+    const telemetry::Gauge &count =
+        session.registry().gauge("dynamo.cache.resident.fragments");
+    {
+        CodeCache a = makeCache(0, CachePolicy::FlushAll);
+        a.insert(1, 10); // 40 bytes
+        {
+            CodeCache b = makeCache(96, CachePolicy::EvictLru);
+            b.insert(1, 10);
+            b.insert(2, 10);
+            b.recordExit(1, 2); // a 16-byte stub
+            b.insert(3, 10);    // evicts to fit
+            EXPECT_EQ(bytes.get(),
+                      static_cast<std::int64_t>(a.residentBytes() +
+                                                b.residentBytes()));
+            EXPECT_EQ(count.get(),
+                      static_cast<std::int64_t>(a.size() + b.size()));
+        }
+        // The destroyed cache withdrew its share.
+        EXPECT_EQ(bytes.get(), 40);
+        EXPECT_EQ(count.get(), 1);
+        a.restore(5, 10, 1);
+        EXPECT_EQ(bytes.get(), 80);
+        EXPECT_EQ(count.get(), 2);
+        a.flushAll();
+        EXPECT_EQ(bytes.get(), 0);
+        EXPECT_EQ(count.get(), 0);
+        a.insert(6, 10);
+    }
+    EXPECT_EQ(bytes.get(), 0);
+    EXPECT_EQ(count.get(), 0);
+}
 
 TEST(CodeCacheTest, ExitStubLinkingLifecycle)
 {
@@ -109,8 +203,9 @@ TEST(CodeCacheTest, LinkThenEvictUnlinksEveryInboundStub)
     // The neighbours' stubs fell back to stub state, not away: the
     // next exit is a runtime round trip, not a crash.
     ASSERT_NE(cache.peek(1), nullptr);
-    ASSERT_EQ(cache.peek(1)->stubs.size(), 1u);
-    EXPECT_FALSE(cache.peek(1)->stubs[0].linked);
+    ASSERT_NE(cache.peek(1)->links, nullptr);
+    ASSERT_EQ(cache.peek(1)->links->stubs.size(), 1u);
+    EXPECT_FALSE(cache.peek(1)->links->stubs[0].linked);
     EXPECT_EQ(cache.recordExit(1, 2), ExitKind::Unlinked);
 
     // Re-inserting the head re-links every waiting neighbour at

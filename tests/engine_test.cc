@@ -18,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dynamo/fragment_cache.hh"
+#include "dynamo/code_cache.hh"
 #include "engine/engine.hh"
 #include "engine/session.hh"
 #include "engine/session_table.hh"
@@ -566,7 +566,7 @@ TEST(Engine, SerialModeMatchesHandRolledReplay)
     for (const ClientTraffic &client : traffic) {
         // The reference replay: the exact components a session embeds.
         NetPredictor predictor(13);
-        FragmentCache cache(0, FragmentCache::EvictionPolicy::EvictLru);
+        CodeCache cache(CodeCacheConfig{0, CachePolicy::EvictLru, 1});
         std::vector<PathIndex> expected;
         for (const PathEvent &event : client.events) {
             if (cache.find(event.path) != nullptr)

@@ -367,17 +367,18 @@ Router::acceptPending()
 bool
 Router::handleClientReadable(ClientConn &conn)
 {
-    std::vector<std::uint8_t> chunk(cfg.readChunkBytes);
     for (;;) {
         const ssize_t got =
-            ::read(conn.fd.get(), chunk.data(), chunk.size());
+            ::read(conn.fd.get(), readBuf.data(), readBuf.size());
         if (got > 0) {
-            conn.in.insert(conn.in.end(), chunk.data(),
-                           chunk.data() +
+            // Frame each chunk as it lands, so only an incomplete
+            // tail ever counts against the reassembly cap.
+            conn.in.insert(conn.in.end(), readBuf.data(),
+                           readBuf.data() +
                                static_cast<std::size_t>(got));
-            if (conn.in.size() > cfg.maxInBufferBytes)
+            if (!processClientInput(conn))
                 return false; // garbage or hostile lengths
-            if (static_cast<std::size_t>(got) < chunk.size())
+            if (static_cast<std::size_t>(got) < readBuf.size())
                 break;
             continue;
         }
@@ -391,56 +392,43 @@ Router::handleClientReadable(ClientConn &conn)
             continue;
         return false;
     }
-    return processClientInput(conn);
+    return true;
 }
 
 bool
 Router::processClientInput(ClientConn &conn)
 {
-    std::size_t offset = 0;
-    while (offset < conn.in.size()) {
-        wire::FrameHeader header;
-        std::size_t frame_end = 0;
-        const wire::DecodeStatus status = wire::peekFrameHeader(
-            conn.in.data(), conn.in.size(), offset, header,
-            frame_end);
-        if (status == wire::DecodeStatus::Ok) {
+    // Corrupt regions are skipped the same way the backends skip
+    // them (wire::scanFrames).
+    const wire::ScanResult scan = wire::scanFrames(
+        conn.in.data(), conn.in.size(), conn.scan,
+        [&](const wire::FrameHeader &header, std::size_t off,
+            std::size_t len) {
             nFramesIn.fetch_add(1, std::memory_order_relaxed);
             if (tmFramesIn)
                 tmFramesIn->add(1);
-            std::vector<std::uint8_t> frame(
-                conn.in.begin() +
-                    static_cast<std::ptrdiff_t>(offset),
-                conn.in.begin() +
-                    static_cast<std::ptrdiff_t>(frame_end));
-            routeFrame(header, std::move(frame), conn.id);
-            offset = frame_end;
-            continue;
-        }
-        if (status == wire::DecodeStatus::Truncated)
-            break; // frame still arriving
-        // Corrupt region: resync at the next trustworthy boundary,
-        // the same discipline the backends apply.
-        bool complete = false;
-        const std::size_t next = wire::findFrameBoundary(
-            conn.in.data(), conn.in.size(), offset + 1, &complete);
-        nResynced.fetch_add(1, std::memory_order_relaxed);
-        if (tmResynced)
-            tmResynced->add(1);
-        nResyncBytes.fetch_add(next - offset,
+            const auto begin =
+                conn.in.begin() + static_cast<std::ptrdiff_t>(off);
+            routeFrame(header,
+                       std::vector<std::uint8_t>(
+                           begin,
+                           begin + static_cast<std::ptrdiff_t>(len)),
+                       conn.id);
+            return wire::FrameVerdict::Next;
+        });
+    if (scan.bytesSkipped != 0) {
+        nResynced.fetch_add(scan.resyncs, std::memory_order_relaxed);
+        nResyncBytes.fetch_add(scan.bytesSkipped,
                                std::memory_order_relaxed);
+        if (tmResynced)
+            tmResynced->add(scan.resyncs);
         if (tmResyncBytes)
-            tmResyncBytes->add(
-                static_cast<std::int64_t>(next - offset));
-        offset = next;
-        if (!complete)
-            break;
+            tmResyncBytes->add(scan.bytesSkipped);
     }
-    if (offset > 0)
-        conn.in.erase(conn.in.begin(),
-                      conn.in.begin() +
-                          static_cast<std::ptrdiff_t>(offset));
-    return true;
+    conn.in.erase(conn.in.begin(),
+                  conn.in.begin() +
+                      static_cast<std::ptrdiff_t>(scan.consumed));
+    return conn.in.size() <= wire::kMaxPendingBytes;
 }
 
 Router::Backend *

@@ -126,13 +126,6 @@ struct RouterConfig
      *  drain-quiet granularity). */
     std::uint64_t tickMs = 10;
 
-    /** Bytes per read(2) on a readable client socket. */
-    std::size_t readChunkBytes = 64 * 1024;
-
-    /** Cap on a client connection's reassembly buffer; a client
-     *  streaming this much without completing a frame is cut off. */
-    std::size_t maxInBufferBytes = std::size_t{1} << 20;
-
     /** Cap on a client connection's unsent reply backlog; replies
      *  beyond it are dropped (counted). */
     std::size_t maxOutBufferBytes = std::size_t{1} << 20;
@@ -357,6 +350,7 @@ class Router
         net::Fd fd;
         std::uint64_t id = 0;
         std::vector<std::uint8_t> in;
+        wire::ScanState scan;
         std::vector<std::uint8_t> out;
         std::size_t outOff = 0;
         bool readClosed = false;
@@ -506,6 +500,9 @@ class Router
 
     // Router-thread-owned state.
     std::unordered_map<std::uint64_t, ClientConn> conns;
+    /** Client read(2) buffer, reused across reads. */
+    std::vector<std::uint8_t> readBuf =
+        std::vector<std::uint8_t>(wire::kReadChunkBytes);
     std::vector<std::unique_ptr<Backend>> backends;
     std::unordered_map<std::uint64_t, SessionRoute> routes;
 

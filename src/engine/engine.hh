@@ -557,18 +557,6 @@ class Engine
     bool submitEvents(std::uint64_t session, std::uint64_t sequence,
                       const PathEvent *events, std::size_t count);
 
-    /**
-     * Ingest a buffer of consecutive frames. Frames that parse are
-     * routed individually; a region that does not parse is
-     * quarantined and ingestion resyncs at the next CRC-valid frame
-     * boundary (wire::findNextFrame) instead of abandoning the rest
-     * of the buffer. Returns the number of frames routed. (Frames
-     * are copied out of the caller's transient buffer; producers
-     * that control the buffer lifetime should use submitShared.)
-     */
-    std::uint64_t submitBuffer(const std::uint8_t *data,
-                               std::size_t size);
-
     /** Block until every queued (and delayed) frame has been fully
      *  processed. */
     void drain();
@@ -767,10 +755,9 @@ class Engine
                          QueuedFrame &qf, bool blocking);
 
     /** Post-injection routing shared by submit(), submitShared(),
-     *  trySubmit(), submitBuffer() and delayed redelivery: header
-     *  peek, reject, enqueue or inline. On Backpressure (nonblocking
-     *  callers only) `frame` is left intact. `span_ns` as in
-     *  processFrame(). */
+     *  trySubmit() and delayed redelivery: header peek, reject,
+     *  enqueue or inline. On Backpressure (nonblocking callers only)
+     *  `frame` is left intact. `span_ns` as in processFrame(). */
     SubmitStatus routeFrame(FrameBuf &frame, std::uint64_t tag,
                             bool blocking, std::uint64_t span_ns = 0);
 

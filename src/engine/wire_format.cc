@@ -156,12 +156,15 @@ parseHeader(const std::uint8_t *data, std::size_t size,
         return DecodeStatus::BadKind;
     header.kind = static_cast<FrameKind>(kind);
 
+    // A varint that fails short of the buffer's end ran past 10
+    // bytes, which no further bytes can make valid.
     std::uint64_t payload_bytes = 0;
     if (!readVarint(data, size, cur, header.session) ||
         !readVarint(data, size, cur, header.sequence) ||
         !readVarint(data, size, cur, count) ||
         !readVarint(data, size, cur, payload_bytes))
-        return DecodeStatus::Truncated;
+        return cur < size ? DecodeStatus::BadLength
+                          : DecodeStatus::Truncated;
     if (count > kMaxFrameEvents || payload_bytes > kMaxPayloadBytes)
         return DecodeStatus::BadLength;
 
@@ -601,31 +604,6 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
 }
 
 std::size_t
-findNextFrame(const std::uint8_t *data, std::size_t size,
-              std::size_t from)
-{
-    FrameHeader header;
-    for (std::size_t at = from; at + 2 <= size; ++at) {
-        if (data[at] != kMagic0 || data[at + 1] != kMagic1)
-            continue;
-        std::size_t crc_begin = 0;
-        std::size_t payload_begin = 0;
-        std::size_t payload_len = 0;
-        std::uint64_t count = 0;
-        std::size_t frame_end = 0;
-        if (parseHeader(data, size, at, header, crc_begin,
-                        payload_begin, payload_len, count,
-                        frame_end) != DecodeStatus::Ok)
-            continue;
-        const std::size_t payload_end = payload_begin + payload_len;
-        if (crc32(data + crc_begin, payload_end - crc_begin) ==
-            readU32le(data + payload_end))
-            return at;
-    }
-    return size;
-}
-
-std::size_t
 findFrameBoundary(const std::uint8_t *data, std::size_t size,
                   std::size_t from, bool *complete)
 {
@@ -667,6 +645,50 @@ findFrameBoundary(const std::uint8_t *data, std::size_t size,
     return size;
 }
 
+ScanResult
+scanFrames(const std::uint8_t *data, std::size_t size,
+           ScanState &state, FrameFn onFrame)
+{
+    ScanResult result;
+    std::size_t off = 0;
+    while (off < size) {
+        if (state.resyncing) {
+            bool complete = false;
+            const std::size_t next =
+                findFrameBoundary(data, size, off, &complete);
+            result.bytesSkipped += next - off;
+            off = next;
+            if (!complete)
+                break; // a candidate still arriving, or nothing
+            state.resyncing = false;
+        }
+        FrameHeader header;
+        std::size_t frame_end = 0;
+        const DecodeStatus status =
+            peekFrameHeader(data, size, off, header, frame_end);
+        if (status == DecodeStatus::Truncated)
+            break; // frame still arriving
+        const FrameVerdict verdict =
+            status == DecodeStatus::Ok
+                ? onFrame(header, off, frame_end - off)
+                : FrameVerdict::Corrupt;
+        if (verdict == FrameVerdict::Corrupt) {
+            // Skip at least this byte, then look for the next frame
+            // whose CRC checks out.
+            state.resyncing = true;
+            ++result.resyncs;
+            ++result.bytesSkipped;
+            ++off;
+            continue;
+        }
+        off = frame_end;
+        if (verdict == FrameVerdict::Stop)
+            break;
+    }
+    result.consumed = off;
+    return result;
+}
+
 std::vector<std::uint8_t>
 encodeTraceLog(const TraceLog &log, std::uint64_t session,
                std::size_t frame_events)
@@ -702,41 +724,6 @@ decodeTraceLog(const std::uint8_t *data, std::size_t size,
         out.appendAll(frame.blocks);
     }
     return DecodeStatus::Ok;
-}
-
-std::uint64_t
-decodeTraceLogResilient(const std::uint8_t *data, std::size_t size,
-                        TraceLog &out, ResyncStats *stats)
-{
-    ResyncStats local;
-    std::size_t offset = 0;
-    DecodedFrame frame;
-    while (offset < size) {
-        const std::size_t at = offset;
-        const DecodeStatus status =
-            decodeFrame(data, size, offset, frame);
-        if (status == DecodeStatus::Ok) {
-            if (frame.header.kind == FrameKind::BlockTrace) {
-                out.appendAll(frame.blocks);
-                ++local.framesDecoded;
-            } else {
-                // Valid frame of a foreign kind: quarantine it whole
-                // (decodeFrame already advanced past it).
-                ++local.framesQuarantined;
-                local.bytesSkipped += offset - at;
-            }
-            continue;
-        }
-        // Quarantine: skip at least one byte, then resync at the
-        // next frame whose CRC checks out.
-        ++local.framesQuarantined;
-        const std::size_t next = findNextFrame(data, size, at + 1);
-        local.bytesSkipped += next - at;
-        offset = next;
-    }
-    if (stats != nullptr)
-        *stats = local;
-    return local.framesDecoded;
 }
 
 } // namespace hotpath::wire

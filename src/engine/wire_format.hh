@@ -37,6 +37,7 @@
 
 #include "cfg/types.hh"
 #include "paths/path_event.hh"
+#include "support/function_ref.hh"
 
 namespace hotpath
 {
@@ -165,7 +166,8 @@ enum class DecodeStatus
     BadMagic,
     /** Unknown FrameKind byte. */
     BadKind,
-    /** count/payloadLen exceed the sanity caps. */
+    /** count/payloadLen exceed the sanity caps, or a header varint
+     *  runs past 10 bytes. */
     BadLength,
     /** CRC-32 mismatch (corruption in flight). */
     BadCrc,
@@ -290,44 +292,93 @@ DecodeStatus peekFrameHeader(const std::uint8_t *data,
 DecodeStatus decodeFrame(const std::uint8_t *data, std::size_t size,
                          std::size_t &offset, DecodedFrame &out);
 
-// Corruption recovery ----------------------------------------------
+// Stream framing and corruption recovery --------------------------
 
 /**
- * Scan forward from `from` for the next offset at which a complete,
- * CRC-valid frame begins (magic, parseable header, matching CRC).
- * Returns `size` when no such frame exists. This is the resync
- * primitive: after a corrupt frame, skip to the next trustworthy
- * frame boundary instead of abandoning the rest of the buffer. A
- * candidate magic inside a corrupt region is rejected unless the
- * whole frame it claims checks out, so resync cannot fabricate
- * events from garbage.
- */
-std::size_t findNextFrame(const std::uint8_t *data, std::size_t size,
-                          std::size_t from);
-
-/**
- * Streaming variant of findNextFrame for socket reassembly buffers,
- * where the last frame is usually still arriving. Scans forward from
- * `from` for the next offset holding either a complete CRC-valid
- * frame (`*complete = true`) or a plausible frame cut short by the
- * end of the buffer (`*complete = false`: keep those bytes and retry
- * after the next read). Returns `size` with `*complete = false` when
- * everything up to the end is garbage and can be discarded.
+ * Scan forward from `from` for the next offset holding either a
+ * complete, CRC-valid frame (`*complete = true`) or a plausible frame
+ * cut short by the end of the buffer (`*complete = false`: keep those
+ * bytes and retry after the next read). Returns `size` with
+ * `*complete = false` when everything up to the end is garbage and
+ * can be discarded. A candidate magic inside a corrupt region is
+ * rejected unless the whole frame it claims checks out, so resync
+ * cannot fabricate events from garbage. scanFrames is its one caller
+ * in the library.
  */
 std::size_t findFrameBoundary(const std::uint8_t *data,
                               std::size_t size, std::size_t from,
                               bool *complete);
 
-/** What a resilient multi-frame decode survived. */
-struct ResyncStats
+/** Bytes a stream reader asks read(2) for at a time. */
+constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+
+/**
+ * Most bytes a stream may hold back for a frame still arriving. A
+ * peer that sends this much without completing a frame is speaking
+ * garbage (or hostile lengths) and is disconnected.
+ */
+constexpr std::size_t kMaxPendingBytes = std::size_t{1} << 20;
+
+/** What a scanFrames callback decides about the frame it was shown. */
+enum class FrameVerdict
 {
-    /** Frames decoded and delivered. */
-    std::uint64_t framesDecoded = 0;
-    /** Corrupt frames quarantined (skipped after a failed decode). */
-    std::uint64_t framesQuarantined = 0;
-    /** Bytes discarded while scanning for the next valid frame. */
+    /** Frame taken; go on to the next one. */
+    Next,
+    /** Frame taken; stop scanning (the caller cannot take more). */
+    Stop,
+    /** Frame is corrupt: skip it and resync at the next CRC-valid
+     *  boundary. */
+    Corrupt,
+};
+
+/**
+ * Per-stream resync state carried between scanFrames calls. While
+ * `resyncing` is set, the stream's unconsumed prefix belongs to a
+ * corrupt region, so its first candidate frame must pass the CRC
+ * check before it is handed on, however the stream was split into
+ * reads.
+ */
+struct ScanState
+{
+    /** A corrupt region is being skipped. */
+    bool resyncing = false;
+};
+
+/** What one scanFrames call consumed. */
+struct ScanResult
+{
+    /**
+     * Bytes the caller drops from the front of its buffer: every
+     * frame handed on and every byte skipped. What follows (a frame
+     * still arriving, or the rest after a Stop) is kept for the next
+     * call.
+     */
+    std::size_t consumed = 0;
+    /** Corrupt regions entered (one per region, even when it spans
+     *  reads). */
+    std::uint64_t resyncs = 0;
+    /** Bytes discarded while resyncing. */
     std::uint64_t bytesSkipped = 0;
 };
+
+/** scanFrames callback: (header, frame offset, frame length). */
+using FrameFn = support::FunctionRef<FrameVerdict(
+    const FrameHeader &, std::size_t, std::size_t)>;
+
+/**
+ * Cut the buffered prefix of a byte stream into frames: the one
+ * framing loop for every socket reader. Each frame whose header
+ * parses is shown to `onFrame` as an [offset, offset + length) slice
+ * of `data` (only the first frame after a corrupt region is
+ * CRC-checked here; a callback that decodes returns Corrupt when
+ * that fails). A region
+ * that does not parse, or that the callback calls corrupt, is
+ * skipped up to the next CRC-valid frame boundary (findFrameBoundary)
+ * and counted. Feeding a stream whole or split at any offsets hands
+ * on the same frames and skips the same bytes.
+ */
+ScanResult scanFrames(const std::uint8_t *data, std::size_t size,
+                      ScanState &state, FrameFn onFrame);
 
 // sim::TraceLog round trip -----------------------------------------
 
@@ -346,18 +397,6 @@ std::vector<std::uint8_t> encodeTraceLog(const TraceLog &log,
  */
 DecodeStatus decodeTraceLog(const std::uint8_t *data,
                             std::size_t size, TraceLog &out);
-
-/**
- * Like decodeTraceLog, but a malformed frame is quarantined and the
- * decode resyncs at the next CRC-valid frame boundary
- * (findNextFrame) instead of stopping. Appends every decodable
- * frame's blocks to `out` in buffer order; `stats` (optional)
- * receives the damage accounting. Returns the number of frames
- * delivered.
- */
-std::uint64_t decodeTraceLogResilient(const std::uint8_t *data,
-                                      std::size_t size, TraceLog &out,
-                                      ResyncStats *stats = nullptr);
 
 } // namespace wire
 } // namespace hotpath

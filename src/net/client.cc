@@ -120,12 +120,13 @@ int
 Client::decodeReplies(std::vector<PredictionReply> &replies)
 {
     int appended = 0;
-    std::size_t off = 0;
     wire::DecodedFrame frame;
-    while (off < in.size()) {
-        const wire::DecodeStatus status =
-            wire::decodeFrame(in.data(), in.size(), off, frame);
-        if (status == wire::DecodeStatus::Ok) {
+    const wire::ScanResult scan = wire::scanFrames(
+        in.data(), in.size(), inScan,
+        [&](const wire::FrameHeader &, std::size_t off, std::size_t) {
+            if (wire::decodeFrame(in.data(), in.size(), off, frame) !=
+                wire::DecodeStatus::Ok)
+                return wire::FrameVerdict::Corrupt;
             if (frame.header.kind == wire::FrameKind::Predictions) {
                 PredictionReply reply;
                 reply.session = frame.header.session;
@@ -152,24 +153,12 @@ Client::decodeReplies(std::vector<PredictionReply> &replies)
             }
             // Other frame kinds from a server would be a protocol
             // surprise; skip them quietly.
-            continue;
-        }
-        if (status == wire::DecodeStatus::Truncated)
-            break; // reply still arriving
-        // Corrupt reply: resync at the next trustworthy boundary,
-        // exactly as the server treats requests.
-        bool complete = false;
-        const std::size_t next = wire::findFrameBoundary(
-            in.data(), in.size(), off + 1, &complete);
-        ++counters.resyncs;
-        counters.resyncBytesSkipped += next - off;
-        off = next;
-        if (!complete)
-            break;
-    }
-    if (off > 0)
-        in.erase(in.begin(),
-                 in.begin() + static_cast<std::ptrdiff_t>(off));
+            return wire::FrameVerdict::Next;
+        });
+    counters.resyncs += scan.resyncs;
+    counters.resyncBytesSkipped += scan.bytesSkipped;
+    in.erase(in.begin(),
+             in.begin() + static_cast<std::ptrdiff_t>(scan.consumed));
     return appended;
 }
 
@@ -204,7 +193,7 @@ Client::pollSocket(std::vector<PredictionReply> &replies,
     if (!waitFor(fd.get(), POLLIN, timeout_ms))
         return 0;
 
-    std::uint8_t chunk[64 * 1024];
+    std::uint8_t chunk[wire::kReadChunkBytes];
     while (true) {
         const ssize_t got = ::read(fd.get(), chunk, sizeof(chunk));
         if (got > 0) {

@@ -7,10 +7,11 @@
  * sendEvents() + poll()/awaitResponses() (keep many frames in flight
  * and collect replies as they arrive - the loadgen's open-loop mode).
  *
- * Responses are CRC-verified by wire::decodeFrame; a corrupt region
- * in the reply stream is skipped with wire::findFrameBoundary, the
- * same resync discipline the server applies to requests, so one
- * damaged reply never desynchronizes the connection.
+ * Replies are cut from the stream by wire::scanFrames, the same
+ * framing the server applies to requests, and CRC-verified by
+ * wire::decodeFrame; a reply that fails to decode is skipped up to
+ * the next CRC-valid frame boundary, so one damaged reply never
+ * desynchronizes the connection.
  *
  * connect() retries with exponential backoff (base * 2^attempt,
  * capped), which lets a client race a server that is still binding -
@@ -192,6 +193,7 @@ class Client
     ClientConfig cfg;
     Fd fd;
     std::vector<std::uint8_t> in;
+    wire::ScanState inScan;
     std::vector<std::uint8_t> encodeScratch;
     /** Pipelined replies a call() read past while matching its own;
      *  served (in arrival order) by the next poll(). */

@@ -442,10 +442,10 @@ Server::handleReadable(Reactor &reactor, Connection &conn)
 
     while (!conn.paused && !conn.readClosed) {
         const std::size_t old = conn.in.size();
-        conn.in.resize(old + cfg.readChunkBytes);
+        conn.in.resize(old + wire::kReadChunkBytes);
         const ssize_t got =
             ::read(conn.fd.get(), conn.in.data() + old,
-                   cfg.readChunkBytes);
+                   wire::kReadChunkBytes);
         if (got > 0) {
             conn.in.resize(old + static_cast<std::size_t>(got));
             nBytesIn.fetch_add(static_cast<std::uint64_t>(got),
@@ -493,7 +493,7 @@ Server::processInput(Reactor &reactor, Connection &conn)
         const wire::DecodeStatus status = wire::peekFrameHeader(
             conn.in.data(), conn.in.size(), 0, header, frameEnd);
         if (status == wire::DecodeStatus::Truncated)
-            return conn.in.size() <= cfg.maxInBufferBytes;
+            return conn.in.size() <= wire::kMaxPendingBytes;
     }
 
     // Seal the reassembly buffer into a shared immutable ingest
@@ -506,17 +506,11 @@ Server::processInput(Reactor &reactor, Connection &conn)
     conn.in = {};
     const std::uint8_t *data = buffer->data();
     const std::size_t size = buffer->size();
-    std::size_t off = 0;
 
-    while (!conn.paused && off < size) {
-        wire::FrameHeader header;
-        std::size_t frameEnd = 0;
-        const wire::DecodeStatus status =
-            wire::peekFrameHeader(data, size, off, header, frameEnd);
-        if (status == wire::DecodeStatus::Ok) {
-            const std::size_t frameOff = off;
-            const std::size_t frameLen = frameEnd - off;
-            off = frameEnd;
+    const wire::ScanResult scan = wire::scanFrames(
+        data, size, conn.scan,
+        [&](const wire::FrameHeader &, std::size_t frameOff,
+            std::size_t frameLen) {
             // Sampling decision at the ingest boundary: a sampled
             // frame is timestamped here (end of Read, start of
             // QueueWait) and carries span_ns through the engine.
@@ -541,7 +535,7 @@ Server::processInput(Reactor &reactor, Connection &conn)
                 nReadPauses.fetch_add(1, std::memory_order_relaxed);
                 if (tmReadPauses)
                     tmReadPauses->add(1);
-                break;
+                return wire::FrameVerdict::Stop;
             }
             if (submitted == engine::SubmitStatus::Accepted) {
                 ++conn.inFlight;
@@ -551,33 +545,24 @@ Server::processInput(Reactor &reactor, Connection &conn)
             }
             // Rejected frames were counted by the engine (rejected
             // at the door); no reply will come, nothing in flight.
-            continue;
-        }
-        if (status == wire::DecodeStatus::Truncated)
-            break; // tail frame still arriving
-        // Corrupt region: resync at the next trustworthy boundary.
-        bool complete = false;
-        const std::size_t next =
-            wire::findFrameBoundary(data, size, off + 1, &complete);
-        nResynced.fetch_add(1, std::memory_order_relaxed);
+            return wire::FrameVerdict::Next;
+        });
+    if (scan.bytesSkipped != 0) {
+        nResynced.fetch_add(scan.resyncs, std::memory_order_relaxed);
+        nResyncBytes.fetch_add(scan.bytesSkipped,
+                               std::memory_order_relaxed);
         if (tmResynced)
-            tmResynced->add(1);
-        nResyncBytes.fetch_add(next - off, std::memory_order_relaxed);
+            tmResynced->add(scan.resyncs);
         if (tmResyncBytes)
-            tmResyncBytes->add(next - off);
-        off = next;
-        if (!complete)
-            break;
+            tmResyncBytes->add(scan.bytesSkipped);
     }
 
     // Unconsumed suffix (incomplete tail frame, or everything past a
     // parked slice) re-seeds the reassembly buffer - the only bytes
     // this path ever copies.
-    if (off < size)
-        conn.in.assign(data + off, data + size);
-    // A peer that buffers this much without completing a frame is
-    // speaking a different protocol; cut it loose.
-    return conn.in.size() <= cfg.maxInBufferBytes;
+    if (scan.consumed < size)
+        conn.in.assign(data + scan.consumed, data + size);
+    return conn.in.size() <= wire::kMaxPendingBytes;
 }
 
 void

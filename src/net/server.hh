@@ -12,14 +12,14 @@
  *
  * Ingest path: bytes are read into a per-connection reassembly
  * buffer; once at least one complete frame is present, the buffer is
- * sealed into a shared immutable ingest buffer and every complete
- * frame is handed to Engine::trySubmitShared as a zero-copy
- * [offset, length) slice of it, with the connection id as the
- * routing tag (only an incomplete tail frame is ever copied, into
- * the next reassembly buffer). A region that fails the header parse
- * is resynced at the next CRC-valid frame boundary
- * (wire::findFrameBoundary), so line noise costs exactly the bytes
- * it damaged.
+ * sealed into a shared immutable ingest buffer and wire::scanFrames
+ * hands every complete frame to Engine::trySubmitShared as a
+ * zero-copy [offset, length) slice of it, with the connection id as
+ * the routing tag (only an incomplete tail frame is ever copied,
+ * into the next reassembly buffer). The scanner skips a region that
+ * fails the header parse up to the next CRC-valid frame boundary,
+ * so line noise costs exactly the bytes it damaged, however TCP
+ * split them.
  *
  * Backpressure chain: when a frame's shard queue is saturated,
  * trySubmit returns Backpressure and the reactor *stops reading that
@@ -60,6 +60,7 @@
 
 #include "dynamo/flush.hh"
 #include "engine/engine.hh"
+#include "engine/wire_format.hh"
 #include "net/admin.hh"
 #include "net/socket.hh"
 #include "support/fault_injector.hh"
@@ -90,16 +91,6 @@ struct ServerConfig
     /** Reactor (event-loop) threads. With a serial-mode engine this
      *  must be 1: serial submits process inline on the caller. */
     std::size_t reactorThreads = 2;
-
-    /** Bytes per read(2) call on a readable socket. */
-    std::size_t readChunkBytes = 64 * 1024;
-
-    /**
-     * Cap on a connection's reassembly buffer. A peer that streams
-     * this much without completing a frame is speaking garbage (or
-     * hostile lengths) and is disconnected.
-     */
-    std::size_t maxInBufferBytes = std::size_t{1} << 20;
 
     /** Cap on a connection's unsent reply backlog; replies beyond it
      *  are dropped (counted) rather than buffering without bound. */
@@ -288,6 +279,8 @@ class Server
         std::uint64_t id = 0;
         /** Frame reassembly buffer (unparsed prefix of the stream). */
         std::vector<std::uint8_t> in;
+        /** Resync state of the inbound stream. */
+        wire::ScanState scan;
         /** Unsent reply bytes; `outOff` marks the flushed prefix. */
         std::vector<std::uint8_t> out;
         std::size_t outOff = 0;

@@ -1085,6 +1085,64 @@ TEST(ClusterRouter, ZeroBackendsSynthesizesEmptyReplies)
     EXPECT_EQ(stats.backendsLive, 0u);
 }
 
+TEST(ClusterRouter, ReassemblyCapBindsOnlyAnIncompleteFrame)
+{
+    Fleet fleet(0);
+    cluster::Router router(testRouterConfig(fleet));
+    ASSERT_TRUE(router.start());
+    net::ClientConfig clientCfg;
+    clientCfg.port = router.port();
+
+    // Well over the cap in complete frames, as fast as the socket
+    // takes them: framed as they land, so the client stays.
+    {
+        net::Client client(clientCfg);
+        ASSERT_TRUE(client.connect());
+        const auto frames = makeFrames(3, 0, 2048, 200);
+        std::size_t bytes = 0;
+        std::vector<net::PredictionReply> replies;
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            ASSERT_TRUE(
+                client.sendFrame(frames[i].data(), frames[i].size()));
+            bytes += frames[i].size();
+            if (i % 64 == 63) {
+                ASSERT_GE(client.poll(replies, 0), 0);
+            }
+        }
+        ASSERT_GT(bytes, 2 * wire::kMaxPendingBytes);
+        ASSERT_TRUE(client.awaitResponses(frames.size() - replies.size(),
+                                          replies));
+        EXPECT_EQ(replies.size(), frames.size());
+    }
+
+    // A frame that claims more payload than the cap and never ends:
+    // the client is cut off once the cap is passed.
+    {
+        net::Client client(clientCfg);
+        ASSERT_TRUE(client.connect());
+        std::vector<std::uint8_t> header = {'H', 'F', 1};
+        wire::appendVarint(header, 7); // session
+        wire::appendVarint(header, 0); // sequence
+        wire::appendVarint(header, 1); // count
+        wire::appendVarint(header, 4 * wire::kMaxPendingBytes);
+        ASSERT_TRUE(client.sendFrame(header.data(), header.size()));
+        const std::vector<std::uint8_t> filler(wire::kReadChunkBytes, 0);
+        for (std::size_t sent = 0;
+             sent < 3 * wire::kMaxPendingBytes &&
+             client.sendFrame(filler.data(), filler.size());
+             sent += filler.size()) {
+        }
+        std::vector<net::PredictionReply> replies;
+        EXPECT_EQ(client.poll(replies, 5000), -1);
+    }
+
+    router.drain();
+    const cluster::RouterStats stats = router.stats();
+    router.stop();
+    EXPECT_EQ(stats.framesIn, 2048u);
+    EXPECT_EQ(stats.closed, 2u);
+}
+
 TEST(ClusterRouter, AdminEndpointServesMetricsTopologyAndStats)
 {
     // Attach telemetry before anything registers, so /metrics sees
